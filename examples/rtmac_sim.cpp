@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 
 #include "expfw/observe.hpp"
 #include "expfw/scenarios.hpp"
@@ -59,10 +60,17 @@ int main(int argc, char** argv) {
 
   const std::string scheme_name = args.get("scheme", std::string{"dbdp"});
   const std::string profile = args.get("profile", std::string{"video"});
-  const auto links = static_cast<std::size_t>(args.get("links", std::int64_t{20}));
+  const std::int64_t links_arg = args.get("links", std::int64_t{20});
+  const std::int64_t intervals_arg = args.get("intervals", std::int64_t{2000});
+  if (links_arg < 0 || intervals_arg < 0) {
+    std::cerr << "--links and --intervals must be >= 0\n";
+    usage();
+    return 2;
+  }
+  const auto links = static_cast<std::size_t>(links_arg);
   const double rho = args.get("rho", 0.9);
   const double p = args.get("p", 0.7);
-  const auto intervals = static_cast<IntervalIndex>(args.get("intervals", std::int64_t{2000}));
+  const auto intervals = static_cast<IntervalIndex>(intervals_arg);
   const auto seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
   const auto pairs = static_cast<int>(args.get("pairs", std::int64_t{1}));
 
@@ -102,7 +110,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  net::Network network{std::move(cfg), factory};
+  std::unique_ptr<net::Network> built;
+  try {
+    built = std::make_unique<net::Network>(std::move(cfg), factory);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "rtmac_sim: " << e.what() << "\n";
+    return 2;
+  }
+  net::Network& network = *built;
   expfw::RunObserver observer{
       args.get("metrics-out", std::string{}), args.get("trace-out", std::string{}),
       args.get("metrics-stream", std::string{}),

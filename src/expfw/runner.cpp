@@ -285,10 +285,7 @@ std::vector<SweepResult> run_sweeps(const std::vector<SchemeSpec>& schemes,
           // Engine-selection overrides: purely an execution knob (results
           // are partition-independent), so applying it after config_at is
           // safe for any scenario builder.
-          if (opts.shards >= 0) {
-            config.shards = static_cast<std::size_t>(opts.shards);
-            config.auto_shard = false;
-          }
+          if (opts.shards >= 0) config.shards = static_cast<std::size_t>(opts.shards);
           if (opts.shard_jobs >= 0) {
             config.shard_jobs = static_cast<std::size_t>(opts.shard_jobs);
           }
@@ -308,8 +305,8 @@ std::vector<SweepResult> run_sweeps(const std::vector<SchemeSpec>& schemes,
           obs::StringStreamSink stream_sink;
           if (with_metrics || with_stream) network.attach_metrics(&registry);
           if (with_stream) registry.stream_to(&stream_sink, opts.stream_every, context);
-          // Protocol tracing is a single-engine feature; a sharded task
-          // simply goes untraced (the trace file stays empty).
+          // Protocol tracing needs a single cell; a multi-cell task simply
+          // goes untraced (the trace file stays empty).
           if (with_trace && task_index == 0 && !network.sharded()) {
             network.attach_tracer(&trace_capture);
             network.add_observer([&network](IntervalIndex k, std::span<const int>,

@@ -38,11 +38,11 @@ struct SweepOptions {
   std::size_t reps = 1;  ///< independent replications per grid point (>= 1)
   std::size_t jobs = 0;  ///< worker threads; 0 = all hardware threads
 
-  /// Sharded-engine override applied to every task's config: -1 leaves the
-  /// config's own shards/auto_shard untouched, 0 forces the legacy engine,
+  /// Cell-partitioning override applied to every task's config: -1 leaves
+  /// the config's own `shards` untouched, 0 runs every network as one cell,
   /// >= 1 requests that many shards (net/network partitions the topology;
   /// results are byte-identical for any value by construction — the flag
-  /// only moves work between engines).
+  /// only moves work between cells).
   int shards = -1;
   /// Worker threads per sharded network (NetworkConfig::shard_jobs); -1
   /// leaves the config untouched. Keep the product with `jobs` near the

@@ -228,8 +228,8 @@ mac::SchemeFactory dp_fixed_mu_factory(std::vector<double> mu) {
 
 mac::SchemeFactory dp_fixed_mu_factory(std::vector<double> mu, int max_swap_pairs) {
   return [mu = std::move(mu), max_swap_pairs](const mac::SchemeContext& ctx) {
-    // mu is indexed by GLOBAL link id; slice it for shard cells (identity
-    // mapping on the legacy path).
+    // mu is indexed by GLOBAL link id; slice it for each cell (identity
+    // mapping on a lone cell).
     RTMAC_ASSERT(mu.size() == ctx.priority_space());
     std::vector<double> local;
     local.reserve(ctx.num_links);

@@ -96,7 +96,7 @@ inline constexpr double kPaperR = 10.0;
 /// `cell_size`; cells are independent collision domains. The canonical
 /// sharding benchmark topology — the partitioner recovers the cells exactly
 /// and the cut sets are empty, so sharded results are byte-identical to the
-/// single-engine run by construction.
+/// one-cell run by construction.
 [[nodiscard]] phy::InterferenceGraph disconnected_cells_topology(std::size_t num_links,
                                                                  std::size_t cell_size);
 
@@ -126,7 +126,7 @@ inline constexpr double kPaperR = 10.0;
                                                phy::InterferenceGraph topology);
 
 /// Returns `cfg` with a sparse (adjacency-list) topology attached; requires
-/// the sharded engine (cfg.shards >= 1 or cfg.auto_shard).
+/// cfg.shards >= 1.
 [[nodiscard]] net::NetworkConfig with_sparse_topology(net::NetworkConfig cfg,
                                                       phy::SparseTopology topology);
 

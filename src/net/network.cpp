@@ -1,9 +1,8 @@
 #include "net/network.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <future>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -169,45 +168,62 @@ struct Network::Cell final : public sim::ShardCell {
   }
 };
 
-// ---- Shard ------------------------------------------------------------------
-
-/// Everything the sharded engine owns beyond the legacy members.
-struct Network::Shard {
-  sim::ShardPlan plan;
-  std::vector<LinkId> local_of;  ///< global id -> index within its cell
-  std::unique_ptr<CutState> cut;
-  std::vector<std::unique_ptr<Cell>> cells;
-  std::vector<sim::ShardCell*> cell_ptrs;
-  std::unique_ptr<ThreadPool> pool;                  ///< null = serial groups
-  std::unique_ptr<sim::ShardCoordinator> coordinator;  ///< null = cut-free fast path
-};
-
 void Network::Cell::drain_outbox(std::vector<sim::CutTxRecord>& into)
     RTMAC_REQUIRES(sim::shard_barrier) {
   outbox_scratch.clear();
   medium->drain_cut_outbox(outbox_scratch);
   for (const phy::CutTxExport& e : outbox_scratch) {
     const sim::CutTxRecord r{e.link, index, e.start, e.end};
-    net.shard_->cut->add_record(r);
+    net.cut_->add_record(r);
     into.push_back(r);
   }
 }
 
 // ---- construction -----------------------------------------------------------
 
+namespace {
+
+NetworkConfig validated(NetworkConfig config) {
+  std::string error;
+  if (!config.validate(&error)) throw std::invalid_argument{"invalid NetworkConfig: " + error};
+  return config;
+}
+
+/// How `config`'s links are cut into cells: one cell over every link unless
+/// sharding was requested on an explicit topology, which is then partitioned.
+sim::ShardPlan plan_cells(const NetworkConfig& config) {
+  const std::size_t n = config.num_links();
+  if (config.shards == 0) return sim::single_cell_plan(n);
+  // Partition from the sparse lists in place — a 10^6-link topology's
+  // adjacency is hundreds of MB, so no deep copy on this path.
+  if (config.sparse_topology != nullptr) {
+    return sim::partition_topology(config.sparse_topology->conflict,
+                                   config.sparse_topology->sense, config.shards);
+  }
+  // No topology is the complete collision domain: one clique cell.
+  if (!config.topology.has_value()) return sim::single_cell_plan(n);
+  const phy::InterferenceGraph& g = *config.topology;
+  sim::AdjacencyLists conflict(n);
+  sim::AdjacencyLists sense(n);
+  for (LinkId a = 0; a < n; ++a) {
+    for (LinkId b = 0; b < n; ++b) {
+      if (a == b) continue;
+      if (g.conflicts(a, b)) conflict[a].push_back(b);
+      if (g.senses(a, b)) sense[a].push_back(b);
+    }
+  }
+  return sim::partition_topology(conflict, sense, config.shards);
+}
+
+}  // namespace
+
 Network::Network(NetworkConfig config, const mac::SchemeFactory& scheme_factory)
-    : config_{std::move(config)},
-      medium_{nullptr},
+    : config_{validated(std::move(config))},
       debts_{config_.requirements.q()},
       stats_{config_.num_links()},
       arrival_rng_{config_.seed, /*stream_id=*/0xA221BA15ULL},
       arrivals_(config_.interval_buffer_hint(), 0),
       delivered_(config_.interval_buffer_hint(), 0) {
-  std::string error;
-  if (!config_.validate(&error)) {
-    std::fprintf(stderr, "rtmac: invalid NetworkConfig: %s\n", error.c_str());
-    std::abort();
-  }
   // Central arrival sampling is table-driven on every non-joint run; the
   // kernel reproduces the scalar per-link draw sequence exactly (see
   // net/arrival_kernel.hpp).
@@ -218,126 +234,51 @@ Network::Network(NetworkConfig config, const mac::SchemeFactory& scheme_factory)
       arrival_kernel_.build_uniform(*config_.uniform_arrivals, config_.num_links(), arena_);
     }
   }
-  const std::size_t target =
-      config_.shards > 0
-          ? config_.shards
-          : (config_.auto_shard ? ThreadPool::hardware_threads() : 0);
-  if (target >= 1 &&
-      (config_.topology.has_value() || config_.sparse_topology != nullptr)) {
-    build_shard(target, scheme_factory);
-  }
-  if (shard_ != nullptr) return;
-
-  // Legacy single-engine path. A sparse topology whose partition came out
-  // trivial (one cell, no cuts) is densified so the single Medium can serve
-  // it — behavior is identical by construction.
-  if (config_.sparse_topology != nullptr && !config_.topology.has_value()) {
-    config_.topology = phy::InterferenceGraph::from_lists(
-        config_.num_links(), config_.sparse_topology->conflict, config_.sparse_topology->sense);
-  }
-  identity_links_.resize(config_.num_links());
-  for (std::size_t i = 0; i < identity_links_.size(); ++i) {
-    identity_links_[i] = static_cast<LinkId>(i);
-  }
-  // Pre-size the engine's slot pool and heap so a steady-state run never
-  // reallocates (engine.events.reallocs proves it in the metrics export).
-  sim_.reserve_events(config_.event_capacity_hint());
-  if (config_.channel_factory) {
-    auto channel = config_.channel_factory();
-    RTMAC_REQUIRE(channel != nullptr && channel->num_links() == config_.num_links(), "channel model size must match the network");
-    if (config_.topology.has_value()) {
-      medium_ = std::make_unique<phy::Medium>(sim_, std::move(channel), *config_.topology,
-                                              config_.seed, &arena_);
-    } else {
-      medium_ = std::make_unique<phy::Medium>(sim_, std::move(channel), config_.seed, &arena_);
-    }
-  } else if (config_.topology.has_value()) {
-    medium_ = std::make_unique<phy::Medium>(sim_, config_.success_prob, *config_.topology,
-                                            config_.seed, &arena_);
-  } else {
-    medium_ = std::make_unique<phy::Medium>(sim_, config_.success_prob, config_.seed, &arena_);
-  }
-  mac::SchemeContext ctx{sim_,
-                         *medium_,
-                         config_.phy,
-                         config_.interval_length,
-                         config_.num_links(),
-                         config_.success_prob,
-                         debts_,
-                         config_.seed};
-  ctx.arena = &arena_;
-  scheme_ = scheme_factory(ctx);
-  RTMAC_REQUIRE(scheme_ != nullptr);
+  build_cells(scheme_factory);
 }
 
 Network::~Network() = default;
 
-void Network::build_shard(std::size_t target_shards, const mac::SchemeFactory& scheme_factory) {
+void Network::build_cells(const mac::SchemeFactory& scheme_factory) {
   const std::size_t n = config_.num_links();
-  // Partition from the sparse lists in place — a 10^6-link topology's
-  // adjacency is hundreds of MB, so no deep copy on this path.
-  sim::AdjacencyLists conflict_storage;
-  sim::AdjacencyLists sense_storage;
-  const sim::AdjacencyLists* conflict = nullptr;
-  const sim::AdjacencyLists* sense = nullptr;
-  if (config_.sparse_topology != nullptr) {
-    conflict = &config_.sparse_topology->conflict;
-    sense = &config_.sparse_topology->sense;
-  } else if (config_.topology.has_value()) {
-    // The has_value() guard is local on purpose: the caller checks it too,
-    // but flow-sensitive analyzers (bugprone-unchecked-optional-access) only
-    // see in-function guards.
-    const phy::InterferenceGraph& g = *config_.topology;
-    conflict_storage.resize(n);
-    sense_storage.resize(n);
-    for (LinkId a = 0; a < n; ++a) {
-      for (LinkId b = 0; b < n; ++b) {
-        if (a == b) continue;
-        if (g.conflicts(a, b)) conflict_storage[a].push_back(b);
-        if (g.senses(a, b)) sense_storage[a].push_back(b);
-      }
-    }
-    conflict = &conflict_storage;
-    sense = &sense_storage;
-  } else {
-    RTMAC_UNREACHABLE("build_shard requires a topology");
-  }
-  sim::ShardPlan plan = sim::partition_topology(*conflict, *sense, target_shards);
-  if (plan.trivial()) return;  // caller falls back to the legacy engine
-
-  shard_ = std::make_unique<Shard>();
-  Shard& sh = *shard_;
-  sh.plan = std::move(plan);
-  const std::size_t num_cells = sh.plan.cells.size();
-  sh.local_of.assign(n, 0);
+  plan_ = plan_cells(config_);
+  const std::size_t num_cells = plan_.cells.size();
+  local_of_.assign(n, 0);
   for (std::size_t ci = 0; ci < num_cells; ++ci) {
-    const std::vector<LinkId>& links = sh.plan.cells[ci];
+    const std::vector<LinkId>& links = plan_.cells[ci];
     for (std::size_t j = 0; j < links.size(); ++j) {
-      sh.local_of[links[j]] = static_cast<LinkId>(j);
+      local_of_[links[j]] = static_cast<LinkId>(j);
     }
   }
-  sh.cut = std::make_unique<CutState>();
-  sh.cut->build(sh.plan);
-
-  std::vector<std::uint8_t> has_cut_conflict(n, 0);
-  std::vector<std::uint8_t> is_cut_speaker(n, 0);
-  for (const sim::CutEdge& e : sh.plan.cut_conflicts) {
-    has_cut_conflict[e.a] = 1;
-    has_cut_conflict[e.b] = 1;
+  // Cut bookkeeping exists only when the plan cut something; a cut-free
+  // plan (one cell, or disconnected cells) has no cross-cell interaction.
+  const bool has_cuts = !plan_.cut_conflicts.empty() || !plan_.cut_senses.empty();
+  if (has_cuts) {
+    cut_ = std::make_unique<CutState>();
+    cut_->build(plan_);
   }
-  for (const sim::CutSense& s : sh.plan.cut_senses) is_cut_speaker[s.speaker] = 1;
+  // Per-link cut roles, empty when nothing is cut: kCutConflict marks an
+  // endpoint of a cut conflict edge, kCutSpeaker a link heard across a cut.
+  constexpr std::uint8_t kCutConflict = 1;
+  constexpr std::uint8_t kCutSpeaker = 2;
+  std::vector<std::uint8_t> cut_role(has_cuts ? n : 0, 0);
+  for (const sim::CutEdge& e : plan_.cut_conflicts) {
+    cut_role[e.a] |= kCutConflict;
+    cut_role[e.b] |= kCutConflict;
+  }
+  for (const sim::CutSense& s : plan_.cut_senses) cut_role[s.speaker] |= kCutSpeaker;
 
   // Remote-sense registrations grouped per listening cell: (speaker global
   // id, local listener node).
-  std::vector<std::vector<std::pair<LinkId, LinkId>>> remote(num_cells);
-  for (const sim::CutSense& s : sh.plan.cut_senses) {
-    remote[sh.plan.cell_of[s.listener]].emplace_back(s.speaker, sh.local_of[s.listener]);
+  std::vector<std::vector<std::pair<LinkId, LinkId>>> remote(has_cuts ? num_cells : 0);
+  for (const sim::CutSense& s : plan_.cut_senses) {
+    remote[plan_.cell_of[s.listener]].emplace_back(s.speaker, local_of_[s.listener]);
   }
 
   const RateVector q = config_.requirements.q();
-  sh.cells.reserve(num_cells);
+  cells_.reserve(num_cells);
   for (std::size_t ci = 0; ci < num_cells; ++ci) {
-    const std::vector<LinkId>& links = sh.plan.cells[ci];
+    const std::vector<LinkId>& links = plan_.cells[ci];
     RateVector q_slice;
     ProbabilityVector p_slice;
     q_slice.reserve(links.size());
@@ -354,43 +295,67 @@ void Network::build_shard(std::size_t target_shards, const mac::SchemeFactory& s
     // keep honestly-computed completeness flags: a clique cell then runs
     // the O(1) complete-sensing fast paths — the per-event win that makes
     // dense-cell city topologies scale (DESIGN §4j).
-    bool cut_free = remote[ci].empty();
-    for (const LinkId g : links) {
-      if (has_cut_conflict[g] != 0 || is_cut_speaker[g] != 0) {
-        cut_free = false;
-        break;
-      }
-    }
+    const bool cut_free =
+        !has_cuts || (remote[ci].empty() && std::none_of(links.begin(), links.end(),
+                                                         [&](LinkId g) { return cut_role[g] != 0; }));
     const auto flags = cut_free ? phy::InterferenceGraph::SubgraphFlags::kKeepCompleteness
                                 : phy::InterferenceGraph::SubgraphFlags::kClearCompleteness;
-    phy::InterferenceGraph cell_graph =
-        config_.sparse_topology != nullptr
-            ? phy::induced_subgraph(*config_.sparse_topology, cell->links, flags)
-            : config_.topology->induced(cell->links, flags);
-    cell->medium = std::make_unique<phy::Medium>(cell->sim, cell->success_prob,
-                                                 std::move(cell_graph), config_.seed, &arena_);
-
-    phy::ShardMediumConfig smc;
-    smc.global_ids = cell->links;
-    smc.conflict_cut.resize(links.size(), 0);
-    smc.exported.resize(links.size(), 0);
-    for (std::size_t j = 0; j < links.size(); ++j) {
-      smc.conflict_cut[j] = has_cut_conflict[links[j]];
-      smc.exported[j] =
-          static_cast<std::uint8_t>(has_cut_conflict[links[j]] | is_cut_speaker[links[j]]);
+    // The loss process: a custom channel model (single-cell networks only,
+    // see NetworkConfig::validate) or the paper's Bernoulli(success_prob).
+    std::unique_ptr<phy::ChannelModel> channel;
+    if (config_.channel_factory) {
+      channel = config_.channel_factory();
+      RTMAC_REQUIRE(channel != nullptr && channel->num_links() == n,
+                    "channel model size must match the network");
+    } else {
+      channel = std::make_unique<phy::StaticChannel>(cell->success_prob);
     }
-    smc.resolver = sh.cut.get();
-    cell->medium->configure_shard(std::move(smc));
+    if (config_.sparse_topology != nullptr) {
+      cell->medium = std::make_unique<phy::Medium>(
+          cell->sim, std::move(channel),
+          phy::induced_subgraph(*config_.sparse_topology, cell->links, flags), config_.seed,
+          &arena_);
+    } else if (config_.topology.has_value()) {
+      // A lone cell is the whole graph; skip the O(n^2) induced copy.
+      cell->medium = std::make_unique<phy::Medium>(
+          cell->sim, std::move(channel),
+          num_cells == 1 ? *config_.topology : config_.topology->induced(cell->links, flags),
+          config_.seed, &arena_);
+    } else {
+      // No topology: the paper's complete collision domain.
+      cell->medium =
+          std::make_unique<phy::Medium>(cell->sim, std::move(channel), config_.seed, &arena_);
+    }
 
-    std::vector<std::pair<LinkId, LinkId>>& regs = remote[ci];
-    std::sort(regs.begin(), regs.end());
+    // A lone cell spans the network: its local ids are the global ids and
+    // nothing is cut, so its Medium keeps the plain single-domain setup
+    // (including the shared loss stream of a complete graph).
     std::size_t num_speakers = 0;
-    for (std::size_t i = 0; i < regs.size();) {
-      const LinkId speaker = regs[i].first;
-      std::vector<LinkId> nodes;
-      for (; i < regs.size() && regs[i].first == speaker; ++i) nodes.push_back(regs[i].second);
-      cell->medium->register_remote_sense(speaker, std::move(nodes));
-      ++num_speakers;
+    if (num_cells > 1) {
+      phy::ShardMediumConfig smc;
+      smc.global_ids = cell->links;
+      smc.conflict_cut.resize(links.size(), 0);
+      smc.exported.resize(links.size(), 0);
+      smc.resolver = cut_.get();
+      if (!cut_free) {
+        for (std::size_t j = 0; j < links.size(); ++j) {
+          smc.conflict_cut[j] = cut_role[links[j]] & kCutConflict;
+          smc.exported[j] = static_cast<std::uint8_t>(cut_role[links[j]] != 0);
+        }
+      }
+      cell->medium->configure_shard(std::move(smc));
+
+      if (has_cuts) {
+        std::vector<std::pair<LinkId, LinkId>>& regs = remote[ci];
+        std::sort(regs.begin(), regs.end());
+        for (std::size_t i = 0; i < regs.size();) {
+          const LinkId speaker = regs[i].first;
+          std::vector<LinkId> nodes;
+          for (; i < regs.size() && regs[i].first == speaker; ++i) nodes.push_back(regs[i].second);
+          cell->medium->register_remote_sense(speaker, std::move(nodes));
+          ++num_speakers;
+        }
+      }
     }
     mac::SchemeContext ctx{cell->sim,
                            *cell->medium,
@@ -405,8 +370,11 @@ void Network::build_shard(std::size_t target_shards, const mac::SchemeFactory& s
     ctx.arena = &arena_;
     cell->scheme = scheme_factory(ctx);
     RTMAC_REQUIRE(cell->scheme != nullptr);
-    RTMAC_REQUIRE(cell->scheme->shardable(),
-                  "scheme requires global knowledge and cannot run on shard cells");
+    if (num_cells > 1 && !cell->scheme->shardable()) {
+      throw std::invalid_argument{"scheme " + cell->scheme->name() +
+                                  " requires global knowledge and cannot run on " +
+                                  std::to_string(num_cells) + " cells"};
+    }
     // The reserve covers the PEAK number of simultaneously pending events,
     // not the per-interval total: the scheme declares its per-link timer
     // bound (batch shared-clock schemes keep ONE domain expiry event plus at
@@ -419,37 +387,42 @@ void Network::build_shard(std::size_t target_shards, const mac::SchemeFactory& s
     // engine.events.reallocs == 0 in the bench gate proves the bound holds.
     cell->sim.reserve_events(links.size() * cell->scheme->pending_events_per_link() + 16 +
                              4 * num_speakers);
-    sh.cells.push_back(std::move(cell));
+    cells_.push_back(std::move(cell));
   }
-  sh.cell_ptrs.reserve(num_cells);
-  for (const auto& cell : sh.cells) sh.cell_ptrs.push_back(cell.get());
 
-  std::size_t jobs =
-      config_.shard_jobs != 0 ? config_.shard_jobs : ThreadPool::hardware_threads();
-  jobs = std::min(jobs, sh.plan.groups.size());
-  if (jobs > 1) sh.pool = std::make_unique<ThreadPool>(jobs);
+  // A single group runs serially; skip the hardware query (a syscall that
+  // would dominate a small network's construction).
+  if (plan_.groups.size() > 1) {
+    const std::size_t jobs =
+        std::min(config_.shard_jobs != 0 ? config_.shard_jobs : ThreadPool::hardware_threads(),
+                 plan_.groups.size());
+    if (jobs > 1) pool_ = std::make_unique<ThreadPool>(jobs);
+  }
 
-  if (!sh.plan.cut_conflicts.empty() || !sh.plan.cut_senses.empty()) {
+  if (has_cuts) {
     // Cells coupled by ANY cut relation bound each other's windows. Sense
     // cuts only require listener-waits-for-speaker, but the symmetric form
     // is simpler and merely conservative.
     std::vector<std::vector<std::uint32_t>> cut_neighbors(num_cells);
-    auto couple = [&sh, &cut_neighbors](LinkId x, LinkId y) {
-      const std::uint32_t cx = sh.plan.cell_of[x];
-      const std::uint32_t cy = sh.plan.cell_of[y];
+    auto couple = [this, &cut_neighbors](LinkId x, LinkId y) {
+      const std::uint32_t cx = plan_.cell_of[x];
+      const std::uint32_t cy = plan_.cell_of[y];
       if (cx != cy) {
         cut_neighbors[cx].push_back(cy);
         cut_neighbors[cy].push_back(cx);
       }
     };
-    for (const sim::CutEdge& e : sh.plan.cut_conflicts) couple(e.a, e.b);
-    for (const sim::CutSense& s : sh.plan.cut_senses) couple(s.listener, s.speaker);
+    for (const sim::CutEdge& e : plan_.cut_conflicts) couple(e.a, e.b);
+    for (const sim::CutSense& s : plan_.cut_senses) couple(s.listener, s.speaker);
     for (auto& v : cut_neighbors) {
       std::sort(v.begin(), v.end());
       v.erase(std::unique(v.begin(), v.end()), v.end());
     }
-    sh.coordinator = std::make_unique<sim::ShardCoordinator>(
-        sh.cell_ptrs, std::move(cut_neighbors), sh.plan.groups, sh.pool.get(),
+    std::vector<sim::ShardCell*> cell_ptrs;
+    cell_ptrs.reserve(num_cells);
+    for (const auto& cell : cells_) cell_ptrs.push_back(cell.get());
+    coordinator_ = std::make_unique<sim::ShardCoordinator>(
+        std::move(cell_ptrs), std::move(cut_neighbors), plan_.groups, pool_.get(),
         config_.adaptive_lookahead);
   }
 }
@@ -461,18 +434,20 @@ void Network::add_observer(IntervalObserver observer) {
 }
 
 void Network::attach_tracer(sim::Tracer* tracer) {
-  RTMAC_REQUIRE(tracer == nullptr || !sharded(),
-                "protocol tracing requires the single-engine path");
+  RTMAC_REQUIRE(tracer == nullptr || cell_count() == 1,
+                "protocol tracing requires a single-cell network");
   tracer_ = tracer;
-  if (medium_ != nullptr) medium_->set_tracer(tracer);
+  cells_.front()->medium->set_tracer(tracer);
 }
 
 void Network::attach_metrics(obs::MetricsRegistry* registry) {
   metrics_ = registry;
-  if (shard_ != nullptr) {
+  if (cell_count() == 1) {
+    cells_.front()->medium->set_metrics(registry);
+  } else {
     // Each cell's medium/MAC instruments go to a private registry so the
     // parallel phase never shares one; merge_cell_metrics_into folds them.
-    for (auto& cell : shard_->cells) {
+    for (auto& cell : cells_) {
       if (registry != nullptr) {
         cell->registry = std::make_unique<obs::MetricsRegistry>();
         cell->medium->set_metrics(cell->registry.get());
@@ -481,8 +456,6 @@ void Network::attach_metrics(obs::MetricsRegistry* registry) {
         cell->registry.reset();
       }
     }
-  } else {
-    medium_->set_metrics(registry);
   }
   debt_gauges_.clear();
   debt_sketches_.clear();
@@ -521,58 +494,44 @@ void Network::run(IntervalIndex intervals) {
                             static_cast<std::int64_t>(k) * config_.interval_length;
     const TimePoint end = start + config_.interval_length;
 
-    // Arrivals are sampled centrally in global link order on BOTH engines,
-    // so the sampled sequence is independent of the partition. The kernel
-    // consumes the stream exactly as the per-link virtual loop would.
+    // Arrivals are sampled centrally in global link order, so the sampled
+    // sequence is independent of the partition. The kernel consumes the
+    // stream exactly as the per-link virtual loop would.
     if (config_.joint_arrivals != nullptr) {
       config_.joint_arrivals->sample_into(arrival_rng_, arrivals);
     } else {
       arrival_kernel_.sample_into(arrival_rng_, arrivals.first(n_links));
     }
 
-    if (shard_ != nullptr) {
-      run_sharded_interval(k, start, end);
-    } else {
-      run_legacy_interval(k, start, end);
+    if (tracer_ != nullptr) {
+      tracer_->record(start, sim::TraceKind::kIntervalStart, sim::kNoLink,
+                      static_cast<std::int64_t>(k));
+    }
+    run_cells(k, start, end);
+    if (tracer_ != nullptr) {
+      tracer_->record(end, sim::TraceKind::kIntervalEnd, sim::kNoLink,
+                      static_cast<std::int64_t>(k));
     }
     finish_interval(k, end);
   }
 }
 
-void Network::run_legacy_interval(IntervalIndex k, TimePoint start, TimePoint end) {
-  RTMAC_ASSERT(sim_.now() == start, "interval boundaries drifted");
-  medium_->note_interval_start(start);  // anchors the delivery-latency series
-  if (tracer_ != nullptr) {
-    tracer_->record(start, sim::TraceKind::kIntervalStart, sim::kNoLink,
-                    static_cast<std::int64_t>(k));
-  }
-  scheme_->begin_interval(k, arrivals_, end);
-  sim_.run_until(end);
-  RTMAC_ASSERT(!medium_->busy(), "a transmission overran the interval boundary (gap rule)");
-  scheme_->end_interval(delivered_);
-  if (tracer_ != nullptr) {
-    tracer_->record(end, sim::TraceKind::kIntervalEnd, sim::kNoLink,
-                    static_cast<std::int64_t>(k));
-  }
-}
-
-void Network::run_sharded_interval(IntervalIndex k, TimePoint start, TimePoint end) {
-  Shard& sh = *shard_;
-  for (auto& cell : sh.cells) {
+void Network::run_cells(IntervalIndex k, TimePoint start, TimePoint end) {
+  for (auto& cell : cells_) {
     for (std::size_t j = 0; j < cell->links.size(); ++j) {
       cell->arrivals[j] = arrivals_[cell->links[j]];
     }
   }
 
-  if (sh.coordinator != nullptr) {
+  if (coordinator_ != nullptr) {
     // Cut path: serial interval-edge work, windowed parallel advancement.
-    for (auto& cell : sh.cells) {
+    for (auto& cell : cells_) {
       RTMAC_ASSERT(cell->sim.now() == start, "interval boundaries drifted");
       cell->medium->note_interval_start(start);
       cell->scheme->begin_interval(k, cell->arrivals, end);
     }
-    sh.coordinator->advance_to(end);
-    for (auto& cell : sh.cells) {
+    coordinator_->advance_to(end);
+    for (auto& cell : cells_) {
       RTMAC_ASSERT(!cell->medium->busy(),
                    "a transmission overran the interval boundary (gap rule)");
       cell->scheme->end_interval(cell->delivered);
@@ -581,15 +540,16 @@ void Network::run_sharded_interval(IntervalIndex k, TimePoint start, TimePoint e
     {
       // Interval boundary is serial — same discipline as the window barrier.
       const util::PhantomLock barrier{sim::shard_barrier};
-      sh.cut->clear_records();
+      cut_->clear_records();
     }
   } else {
-    // Cut-free fast path: cells are fully independent, so the whole interval
+    // Cut-free path: cells are fully independent, so the whole interval
     // (begin / run / end / debts) folds into one task per group.
     auto run_group = [&](const std::vector<std::uint32_t>& group) {
       for (const std::uint32_t ci : group) {
-        Cell& cell = *sh.cells[ci];
+        Cell& cell = *cells_[ci];
         RTMAC_ASSERT(cell.sim.now() == start, "interval boundaries drifted");
+        // Anchors the delivery-latency series.
         cell.medium->note_interval_start(start);
         cell.scheme->begin_interval(k, cell.arrivals, end);
         cell.sim.run_until(end);
@@ -599,20 +559,20 @@ void Network::run_sharded_interval(IntervalIndex k, TimePoint start, TimePoint e
         cell.debts.on_interval_end(cell.delivered);
       }
     };
-    if (sh.pool != nullptr && sh.plan.groups.size() > 1) {
+    if (pool_ != nullptr) {
       std::vector<std::future<void>> futures;
-      futures.reserve(sh.plan.groups.size());
-      for (const auto& group : sh.plan.groups) {
-        futures.push_back(sh.pool->submit([&run_group, &group] { run_group(group); }));
+      futures.reserve(plan_.groups.size());
+      for (const auto& group : plan_.groups) {
+        futures.push_back(pool_->submit([&run_group, &group] { run_group(group); }));
       }
-      sh.pool->wait_all(futures);
+      pool_->wait_all(futures);
       for (auto& f : futures) f.get();  // surface worker exceptions
     } else {
-      for (const auto& group : sh.plan.groups) run_group(group);
+      for (const auto& group : plan_.groups) run_group(group);
     }
   }
 
-  for (auto& cell : sh.cells) {
+  for (auto& cell : cells_) {
     for (std::size_t j = 0; j < cell->links.size(); ++j) {
       delivered_[cell->links[j]] = cell->delivered[j];
     }
@@ -645,74 +605,55 @@ void Network::finish_interval(IntervalIndex k, TimePoint end) {
 // ---- accessors and facades --------------------------------------------------
 
 const phy::Medium& Network::medium() const {
-  RTMAC_REQUIRE(!sharded(), "medium(): sharded networks have per-cell media");
-  return *medium_;
+  RTMAC_REQUIRE(cell_count() == 1, "medium(): a multi-cell network has per-cell media");
+  return *cells_.front()->medium;
 }
 
 mac::MacScheme& Network::scheme() {
-  RTMAC_REQUIRE(!sharded(), "scheme(): sharded networks have per-cell schemes");
-  return *scheme_;
+  RTMAC_REQUIRE(cell_count() == 1, "scheme(): a multi-cell network has per-cell schemes");
+  return *cells_.front()->scheme;
 }
 
 const mac::MacScheme& Network::scheme() const {
-  RTMAC_REQUIRE(!sharded(), "scheme(): sharded networks have per-cell schemes");
-  return *scheme_;
+  RTMAC_REQUIRE(cell_count() == 1, "scheme(): a multi-cell network has per-cell schemes");
+  return *cells_.front()->scheme;
 }
 
 const sim::Simulator& Network::simulator() const {
-  RTMAC_REQUIRE(!sharded(), "simulator(): sharded networks have per-cell engines");
-  return sim_;
-}
-
-std::size_t Network::cell_count() const { return shard_ != nullptr ? shard_->cells.size() : 1; }
-
-std::size_t Network::group_count() const {
-  return shard_ != nullptr ? shard_->plan.groups.size() : 1;
+  RTMAC_REQUIRE(cell_count() == 1, "simulator(): a multi-cell network has per-cell engines");
+  return cells_.front()->sim;
 }
 
 std::span<const LinkId> Network::cell_links(std::size_t cell) const {
-  if (shard_ == nullptr) {
-    RTMAC_REQUIRE(cell == 0);
-    return identity_links_;
-  }
-  return shard_->cells[cell]->links;
+  return cells_[cell]->links;
 }
 
 const mac::MacScheme& Network::cell_scheme(std::size_t cell) const {
-  if (shard_ == nullptr) {
-    RTMAC_REQUIRE(cell == 0);
-    return *scheme_;
-  }
-  return *shard_->cells[cell]->scheme;
+  return *cells_[cell]->scheme;
 }
 
 std::uint64_t Network::coordinator_rounds() const {
-  return (shard_ != nullptr && shard_->coordinator != nullptr) ? shard_->coordinator->rounds()
-                                                               : 0;
+  return coordinator_ != nullptr ? coordinator_->rounds() : 0;
 }
 
-TimePoint Network::now() const {
-  return shard_ != nullptr ? shard_->cells.front()->sim.now() : sim_.now();
-}
+TimePoint Network::now() const { return cells_.front()->sim.now(); }
 
 std::uint64_t Network::events_executed() const {
-  if (shard_ == nullptr) return sim_.events_executed();
   std::uint64_t total = 0;
-  for (const auto& cell : shard_->cells) total += cell->sim.events_executed();
+  for (const auto& cell : cells_) total += cell->sim.events_executed();
   return total;
 }
 
 std::uint64_t Network::event_reallocs() const {
-  if (shard_ == nullptr) return sim_.event_reallocs();
   std::uint64_t total = 0;
-  for (const auto& cell : shard_->cells) total += cell->sim.event_reallocs();
+  for (const auto& cell : cells_) total += cell->sim.event_reallocs();
   return total;
 }
 
 phy::MediumCounters Network::medium_counters() const {
-  if (shard_ == nullptr) return medium_->counters();
+  if (cell_count() == 1) return cells_.front()->medium->counters();
   phy::MediumCounters out;
-  for (const auto& cell : shard_->cells) {
+  for (const auto& cell : cells_) {
     const phy::MediumCounters& c = cell->medium->counters();
     out.data_tx += c.data_tx;
     out.empty_tx += c.empty_tx;
@@ -726,39 +667,30 @@ phy::MediumCounters Network::medium_counters() const {
 }
 
 const phy::LinkCounters& Network::link_counters(LinkId link) const {
-  if (shard_ == nullptr) return medium_->link_counters(link);
-  const Shard& sh = *shard_;
-  return sh.cells[sh.plan.cell_of[link]]->medium->link_counters(sh.local_of[link]);
+  return cells_[plan_.cell_of[link]]->medium->link_counters(local_of_[link]);
 }
 
 Duration Network::global_sense_busy_time() const {
-  if (shard_ == nullptr) return medium_->sense_busy_time(phy::Medium::kAllNodes);
   Duration total;
-  for (const auto& cell : shard_->cells) {
+  for (const auto& cell : cells_) {
     total += cell->medium->sense_busy_time(phy::Medium::kAllNodes);
   }
   return total;
 }
 
 Duration Network::node_sense_busy_time(LinkId node) const {
-  if (shard_ == nullptr) return medium_->sense_busy_time(node);
-  const Shard& sh = *shard_;
-  return sh.cells[sh.plan.cell_of[node]]->medium->sense_busy_time(sh.local_of[node]);
+  return cells_[plan_.cell_of[node]]->medium->sense_busy_time(local_of_[node]);
 }
 
 std::uint64_t Network::collision_pair_count(LinkId a, LinkId b) const {
-  if (shard_ == nullptr) return medium_->collision_pair_count(a, b);
-  const Shard& sh = *shard_;
-  if (sh.plan.cell_of[a] == sh.plan.cell_of[b]) {
-    return sh.cells[sh.plan.cell_of[a]]->medium->collision_pair_count(sh.local_of[a],
-                                                                      sh.local_of[b]);
+  if (plan_.cell_of[a] == plan_.cell_of[b]) {
+    return cells_[plan_.cell_of[a]]->medium->collision_pair_count(local_of_[a], local_of_[b]);
   }
-  return sh.cut->pair_count(a, b);
+  return cut_ != nullptr ? cut_->pair_count(a, b) : 0;
 }
 
 void Network::merge_cell_metrics_into(obs::MetricsRegistry& target) const {
-  if (shard_ == nullptr) return;
-  for (const auto& cell : shard_->cells) {
+  for (const auto& cell : cells_) {
     if (cell->registry != nullptr) target.merge_from(*cell->registry);
   }
 }
@@ -768,13 +700,7 @@ Network::MemoryBreakdown Network::memory_breakdown() const {
   mb.arena_reserved = arena_.bytes_reserved();
   mb.arena_used = arena_.bytes_used();
   mb.arrivals = arrival_kernel_.memory_bytes();
-  if (shard_ == nullptr) {
-    mb.sim_events = sim_.event_memory_bytes();
-    if (medium_ != nullptr) mb.phy = medium_->memory_bytes();
-    if (scheme_ != nullptr) mb.mac = scheme_->memory_bytes();
-    return mb;
-  }
-  for (const auto& cell : shard_->cells) {
+  for (const auto& cell : cells_) {
     mb.sim_events += cell->sim.event_memory_bytes();
     mb.phy += cell->medium->memory_bytes();
     mb.mac += cell->scheme->memory_bytes();

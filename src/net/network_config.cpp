@@ -12,6 +12,10 @@ bool NetworkConfig::validate(std::string* error) const {
   };
   const std::size_t n = success_prob.size();
   if (n == 0) return fail("network has no links");
+  // Sizes first: the arrival checks below index requirements per link.
+  if (requirements.lambda.size() != n || requirements.rho.size() != n) {
+    return fail("requirements size != number of links");
+  }
   if (joint_arrivals != nullptr) {
     if (joint_arrivals->num_links() != n) return fail("joint arrivals size != number of links");
     const RateVector joint_mean = joint_arrivals->mean();
@@ -33,20 +37,15 @@ bool NetworkConfig::validate(std::string* error) const {
   } else {
     return fail("no arrival specification (arrivals, uniform_arrivals, or joint_arrivals)");
   }
-  if (requirements.lambda.size() != n || requirements.rho.size() != n) {
-    return fail("requirements size != number of links");
-  }
   if (topology.has_value() && topology->num_links() != n) {
     return fail("interference topology size != number of links");
   }
   if (sparse_topology != nullptr) {
     if (topology.has_value()) return fail("topology and sparse_topology are mutually exclusive");
     if (sparse_topology->num_links != n) return fail("sparse topology size != number of links");
-    if (shards == 0 && !auto_shard) {
-      return fail("sparse_topology requires the sharded engine (shards >= 1 or auto_shard)");
-    }
+    if (shards == 0) return fail("sparse_topology requires shards >= 1");
   }
-  if ((shards > 0 || auto_shard) && channel_factory != nullptr) {
+  if (shards > 0 && channel_factory != nullptr) {
     return fail("sharded execution requires the default Bernoulli channel");
   }
   if (interval_length <= Duration{}) return fail("interval length must be positive");
@@ -73,16 +72,6 @@ bool NetworkConfig::validate(std::string* error) const {
   return true;
 }
 
-std::size_t NetworkConfig::event_capacity_hint() const {
-  // Per-link per-interval transmission budget (>= 1 by validate()'s
-  // interval >= data_airtime rule), plus a couple of slots per link for the
-  // backoff expiry and completion event that can be pending simultaneously,
-  // plus fixed slack for harness events (interval boundaries, observers).
-  const auto per_link =
-      static_cast<std::size_t>(phy.transmissions_per_interval(interval_length)) + 2;
-  return num_links() * per_link + 16;
-}
-
 NetworkConfig NetworkConfig::clone() const {
   NetworkConfig copy;
   copy.interval_length = interval_length;
@@ -98,7 +87,6 @@ NetworkConfig NetworkConfig::clone() const {
   copy.topology = topology;
   copy.sparse_topology = sparse_topology;  // immutable, shared
   copy.shards = shards;
-  copy.auto_shard = auto_shard;
   copy.shard_jobs = shard_jobs;
   copy.adaptive_lookahead = adaptive_lookahead;
   return copy;

@@ -52,18 +52,16 @@ struct NetworkConfig {
   /// num_links().
   std::optional<phy::InterferenceGraph> topology;
   /// Adjacency-list topology for city-scale runs where the dense n x n
-  /// InterferenceGraph is unaffordable. Requires `shards >= 1` (the sharded
-  /// engine builds small dense graphs per cell); mutually exclusive with
+  /// InterferenceGraph is unaffordable. Requires `shards >= 1` (the
+  /// partitioner builds small dense graphs per cell); mutually exclusive with
   /// `topology`. Shared (immutable) across clones.
   std::shared_ptr<const phy::SparseTopology> sparse_topology;
-  /// Sharded execution: 0 = legacy single-domain engine; S >= 1 partitions
-  /// the conflict graph into cells and runs them on up to S parallel groups
-  /// (deterministically — results are independent of S and of shard_jobs on
-  /// disconnected topologies). Requires the default Bernoulli channel.
+  /// Cell partitioning: 0 = one cell over every link, no partitioning;
+  /// S >= 1 partitions the conflict graph of an explicit topology into cells
+  /// and runs them on up to S parallel groups (deterministically — results
+  /// are independent of S and of shard_jobs). S >= 1 requires the default
+  /// Bernoulli channel.
   std::size_t shards = 0;
-  /// When true and `shards == 0`, pick a shard count automatically
-  /// (hardware concurrency, capped by the number of cells).
-  bool auto_shard = false;
   /// Worker threads driving shard groups; 0 = min(groups, hardware).
   std::size_t shard_jobs = 0;
   /// Adaptive coordinator lookahead: cut windows extend to each neighbor
@@ -74,16 +72,6 @@ struct NetworkConfig {
   bool adaptive_lookahead = true;
 
   [[nodiscard]] std::size_t num_links() const { return success_prob.size(); }
-
-  /// Upper bound on concurrently-pending engine events, used to pre-size the
-  /// Simulator's slot pool and heap so steady state never reallocates
-  /// (engine.events.reallocs stays 0). Derived from the interval structure:
-  /// per link at most one backoff expiry plus one in-flight completion is
-  /// pending at any instant, but we budget a full per-interval transmission
-  /// schedule per link (links x transmissions-per-interval, the paper's "up
-  /// to 60 per 20 ms"), which dominates every protocol's real working set
-  /// while staying a few kilobytes of slots.
-  [[nodiscard]] std::size_t event_capacity_hint() const;
 
   /// Size of the caller-owned per-interval buffers (arrivals in, deliveries
   /// out) the Network pre-allocates so the interval hot loop never touches

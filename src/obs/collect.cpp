@@ -8,9 +8,9 @@
 namespace rtmac::obs {
 
 void collect_network_metrics(MetricsRegistry& registry, const net::Network& network) {
-  // All channel/engine reads go through the Network facades, which serve the
-  // legacy single-engine path directly and aggregate per-cell state (by
-  // global link id) on the sharded path.
+  // All channel/engine reads go through the Network facades, which
+  // aggregate per-cell state by global link id (a lone cell is read
+  // directly).
   const phy::MediumCounters counters = network.medium_counters();
   const auto& stats = network.stats();
   const double sim_seconds = network.now().seconds_f();
@@ -87,8 +87,9 @@ void collect_network_metrics(MetricsRegistry& registry, const net::Network& netw
   }
 
   // Per-cell medium/MAC instruments (busy-period histograms, access-delay
-  // sketches, ...) live in private registries on the sharded path; fold
-  // them in exactly once, here. No-op on the legacy path.
+  // sketches, ...) live in private registries when there are several cells;
+  // fold them in exactly once, here. No-op for a lone cell, which writes the
+  // attached registry directly.
   network.merge_cell_metrics_into(registry);
 
   if (network.sharded()) {

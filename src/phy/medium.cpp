@@ -23,7 +23,7 @@ namespace {
 /// Stream id of link `global`'s private loss stream ("LOSS" + id). Partial
 /// topologies draw per-link so the sequence is independent of how
 /// transmissions on other links interleave — the property that makes
-/// sharded and single-engine runs bit-identical.
+/// one-cell and many-cell runs bit-identical.
 std::uint64_t loss_stream_id(LinkId global) { return mix64(0x4c4f5353ULL, global); }
 
 }  // namespace
@@ -66,7 +66,7 @@ Medium::Medium(sim::Simulator& simulator, std::unique_ptr<ChannelModel> channel,
 
 void Medium::init_link_state() {
   if (arena_ == nullptr) {
-    // Legacy/test construction: no shared arena, bring a private one.
+    // Standalone construction: no shared arena, bring a private one.
     own_arena_ = std::make_unique<util::Arena>();
     arena_ = own_arena_.get();
   }

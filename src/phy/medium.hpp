@@ -263,7 +263,7 @@ class Medium {
   // barriers), injected remote activity (phantom busy periods on the local
   // sense views of cross-cell speakers), and a resolution horizon that
   // converts the coordinator's conservative bound into a Simulator run
-  // limit. None of this exists on the legacy single-engine path.
+  // limit. None of this exists on a lone cell, which has no cuts.
   //
   // The per-window entry points REQUIRE the sim::shard_barrier phantom
   // capability: they mutate cross-shard state and are only sound inside the
@@ -435,7 +435,8 @@ class Medium {
   std::vector<ActiveTx> active_;  // small: rarely more than a handful in flight
   std::size_t active_count_ = 0;
   /// Cold per-link SoA blocks live in `arena_` (caller-shared, or the
-  /// fallback `own_arena_` on the legacy path), sized once at construction.
+  /// fallback `own_arena_` when constructed standalone), sized once at
+  /// construction.
   util::Arena* arena_ = nullptr;
   std::unique_ptr<util::Arena> own_arena_;
   std::span<SenseView> views_;  ///< one per node (= per link)
@@ -462,7 +463,7 @@ class Medium {
   obs::QuantileSketch* delivery_latency_sketch_ = nullptr;
   TimePoint interval_start_;  ///< anchor for delivery latency (note_interval_start)
 
-  // Shard mode (empty/default on the legacy path).
+  // Shard mode (empty/default on a lone cell or a standalone Medium).
   bool shard_mode_ = false;
   ShardMediumConfig shard_;
   TimePoint resolution_horizon_;

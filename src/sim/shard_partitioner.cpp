@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <numeric>
 
 #include "util/check.hpp"
 
@@ -211,6 +212,15 @@ ShardPlan partition_topology(const AdjacencyLists& conflict, const AdjacencyList
     }
     for (auto& group : plan.groups) std::sort(group.begin(), group.end());
   }
+  return plan;
+}
+
+ShardPlan single_cell_plan(std::size_t num_links) {
+  ShardPlan plan;
+  plan.cell_of.assign(num_links, 0);
+  plan.cells.emplace_back(num_links);
+  std::iota(plan.cells[0].begin(), plan.cells[0].end(), LinkId{0});
+  plan.groups = {{0}};
   return plan;
 }
 

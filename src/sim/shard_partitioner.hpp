@@ -60,11 +60,6 @@ struct ShardPlan {
   /// Balanced greedily by link count; size <= requested shard count.
   std::vector<std::vector<std::uint32_t>> groups;
 
-  /// A trivial plan (one cell, nothing cut) — the caller should fall back
-  /// to the plain single-engine path.
-  [[nodiscard]] bool trivial() const {
-    return cells.size() <= 1 && cut_conflicts.empty() && cut_senses.empty();
-  }
   [[nodiscard]] std::size_t num_links() const { return cell_of.size(); }
 };
 
@@ -85,5 +80,9 @@ struct ShardPlan {
 [[nodiscard]] ShardPlan partition_topology(const AdjacencyLists& conflict,
                                            const AdjacencyLists& sense,
                                            std::size_t target_shards);
+
+/// The plan of an unpartitioned network: one cell over links 0..n-1 in one
+/// group, nothing cut.
+[[nodiscard]] ShardPlan single_cell_plan(std::size_t num_links);
 
 }  // namespace rtmac::sim

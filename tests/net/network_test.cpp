@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "expfw/scenarios.hpp"
 #include "net/network_config.hpp"
@@ -58,6 +60,22 @@ TEST(NetworkConfigTest, CloneIsDeepAndEquivalent) {
   EXPECT_NE(copy.uniform_arrivals.get(), cfg.uniform_arrivals.get());
   EXPECT_EQ(copy.uniform_arrivals->pmf(), cfg.uniform_arrivals->pmf());
   EXPECT_TRUE(copy.validate());
+}
+
+TEST(NetworkTest, InvalidConfigThrowsWithTheValidationMessage) {
+  auto cfg = small_config();
+  cfg.success_prob[2] = 1.5;
+  std::string expected;
+  ASSERT_FALSE(cfg.validate(&expected));
+  EXPECT_THROW((Network{std::move(cfg), expfw::ldf_factory()}), std::invalid_argument);
+  auto again = small_config();
+  again.success_prob[2] = 1.5;
+  try {
+    Network net{std::move(again), expfw::ldf_factory()};
+    ADD_FAILURE() << "constructor accepted an invalid config";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find(expected), std::string::npos) << e.what();
+  }
 }
 
 TEST(NetworkTest, RunsIntervalsAndCollectsStats) {

@@ -1,5 +1,5 @@
-// Sharded-engine equivalence tests (DESIGN §4i): on partitionable
-// topologies the sharded Network must reproduce the legacy single-engine
+// Cell-partition equivalence tests (DESIGN §4i): on partitionable
+// topologies a many-cell Network must reproduce the one-cell (shards == 0)
 // run exactly — same per-interval deliveries, same debts, same channel
 // accounting, same collision ledger — for any shard count, because every
 // RNG stream is keyed by global link id and cut resolution is exact.
@@ -101,9 +101,9 @@ RunRecord run_network(NetworkConfig config, const mac::SchemeFactory& factory,
   registry.write_jsonl(jsonl);
   std::istringstream lines{jsonl.str()};
   for (std::string line; std::getline(lines, line);) {
-    // The busy-window metrics are the one semantic difference: legacy
+    // The busy-window metrics are the one semantic difference: one cell
     // reports the union busy time/periods of the single global channel;
-    // per-cell media report each collision domain's own windows, and
+    // several cells report each collision domain's own windows, and
     // simultaneous windows of independent domains cannot be re-unioned
     // from aggregate durations.
     static constexpr const char* kEngineShape[] = {
@@ -112,9 +112,9 @@ RunRecord run_network(NetworkConfig config, const mac::SchemeFactory& factory,
         "engine.events.reallocs", "phy.busy_fraction",
         "phy.busy_period_us",
         // Arena layout (and hence byte accounting) legitimately differs
-        // between the legacy and per-cell engines, and the DP batch path is
-        // an engine-shape property: clique cells keep complete sensing and
-        // take it even when the legacy global view cannot. The freeze
+        // between one cell and many, and the DP batch path is a cell-shape
+        // property: clique cells keep complete sensing and take it even
+        // when the one-cell global view cannot. The freeze
         // diagnostics follow the path (scalar records exact per-link freeze
         // spans; the batch kernel broadcasts the domain-wide span).
         "mem.", "mac.dp.batch_path",
@@ -143,7 +143,7 @@ NetworkConfig cells_config(std::uint64_t seed, std::size_t shards,
 
 TEST(ShardedNetworkTest, CompleteTopologyFallsBackToTheLegacyEngine) {
   auto cfg = expfw::control_symmetric(0.8, 0.99, 7);
-  cfg.shards = 4;  // complete graph -> one clique cell -> trivial plan
+  cfg.shards = 4;  // complete graph -> one clique cell, nothing cut
   Network network{std::move(cfg), expfw::dcf_factory()};
   EXPECT_FALSE(network.sharded());
   EXPECT_EQ(network.cell_count(), 1U);
@@ -262,8 +262,8 @@ TEST(ShardedNetworkTest, HiddenCutPairIsAConflictCutWithoutSensing) {
 }
 
 TEST(ShardedNetworkTest, CrossShardHiddenTerminalLedgerMatchesTheLegacyEngine) {
-  // shards=1 keeps the union-connected 4-link graph in one cell -> trivial
-  // plan -> legacy engine; shards=2 puts the hidden pair on the cut. The
+  // shards=1 keeps the union-connected 4-link graph in one cell; shards=2
+  // puts the hidden pair on the cut. The
   // collision ledgers (and everything else) must agree exactly, and the
   // hidden pair must actually collide or the test proves nothing.
   const auto legacy = run_network(hidden_cut_config(42, /*shards=*/1), expfw::dcf_factory());
@@ -295,7 +295,7 @@ TEST(ShardedNetworkTest, ValidationRejectsSparseWithoutShardsAndCustomChannels) 
   cfg.sparse_topology = std::make_shared<const phy::SparseTopology>(std::move(sparse));
   std::string error;
   EXPECT_FALSE(cfg.validate(&error));
-  EXPECT_NE(error.find("sharded engine"), std::string::npos);
+  EXPECT_NE(error.find("requires shards >= 1"), std::string::npos);
   cfg.shards = 2;
   EXPECT_TRUE(cfg.validate(&error)) << error;
 }
