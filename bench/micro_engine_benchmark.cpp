@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string_view>
 #include <vector>
@@ -26,7 +27,10 @@
 #include "analysis/priority_evaluator.hpp"
 #include "expfw/scenarios.hpp"
 #include "net/network.hpp"
+#include "obs/collect.hpp"
+#include "obs/metrics.hpp"
 #include "obs/sketch.hpp"
+#include "phy/phy_params.hpp"
 #include "sim/simulator.hpp"
 #include "traffic/arrival_process.hpp"
 #include "util/rng.hpp"
@@ -280,6 +284,67 @@ void BM_SketchMerge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(parts));
 }
 BENCHMARK(BM_SketchMerge)->Arg(4)->Arg(16);
+
+// End-of-run collection (obs::collect_network_metrics) on a unit-disk city
+// of 8-link cells, DCF, one cell per cluster: per-link gauges plus the
+// collision-ledger walk. Collection cost must grow with links and stored
+// ledger cells, not with links^2. No registry is attached during the run,
+// so the fold of per-cell registries is left to BM_MergeCellRegistries.
+void BM_CollectNetworkMetrics(benchmark::State& state) {
+  const auto links = static_cast<std::size_t>(state.range(0));
+  const std::size_t cells = links / 8;
+  net::NetworkConfig cfg = expfw::with_sparse_topology(
+      net::symmetric_network(links, Duration::milliseconds(2),
+                             phy::PhyParams::control_80211a(), 0.7,
+                             traffic::BernoulliArrivals{0.8}, 0.9, 21),
+      expfw::city_unit_disk_topology(cells, 8, 22));
+  cfg.shards = cells;
+  net::Network net{std::move(cfg), expfw::dcf_factory()};
+  net.run(20);
+  for (auto _ : state) {
+    obs::MetricsRegistry registry;
+    obs::collect_network_metrics(registry, net);
+    benchmark::DoNotOptimize(registry.size());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(links));
+  state.SetLabel("items = links");
+}
+BENCHMARK(BM_CollectNetworkMetrics)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
+
+// One-pass fold of per-cell registries into an export target, the sharded
+// collect path (Network::merge_cell_metrics_into). Each cell holds the
+// instruments a cell Medium registers — two sample sketches and per-link
+// counters — so the fold must cost O(total retained), not re-copy the
+// growing sketch union once per cell.
+void BM_MergeCellRegistries(benchmark::State& state) {
+  const auto cells = static_cast<std::size_t>(state.range(0));
+  std::vector<std::unique_ptr<obs::MetricsRegistry>> registries;
+  std::vector<const obs::MetricsRegistry*> sources;
+  Rng rng{23};
+  for (std::size_t c = 0; c < cells; ++c) {
+    auto reg = std::make_unique<obs::MetricsRegistry>();
+    obs::QuantileSketch& busy = reg->sketch("phy.busy_period_us");
+    obs::QuantileSketch& latency = reg->sketch("phy.delivery_latency_us");
+    for (int i = 0; i < 1000; ++i) {
+      busy.update(rng.next_double() * 2000.0);
+      latency.update(rng.next_double() * 20000.0);
+    }
+    for (std::uint32_t l = 0; l < 8; ++l) {
+      reg->counter(obs::link_metric("phy.tx_data", static_cast<std::uint32_t>(c * 8) + l))
+          .inc(100);
+    }
+    sources.push_back(reg.get());
+    registries.push_back(std::move(reg));
+  }
+  for (auto _ : state) {
+    obs::MetricsRegistry target;
+    target.merge_from(sources);
+    benchmark::DoNotOptimize(target.size());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(cells));
+  state.SetLabel("items = cell registries");
+}
+BENCHMARK(BM_MergeCellRegistries)->Arg(64)->Arg(512)->Unit(benchmark::kMillisecond);
 
 void BM_PriorityEvaluatorExact(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

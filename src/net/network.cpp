@@ -19,9 +19,9 @@ namespace rtmac::net {
 
 /// Cross-shard conflict resolver and collision ledger. Cut-link records are
 /// appended only at serial coordinator barriers; during the parallel phase
-/// cells read them concurrently (immutable between barriers) and each cell
-/// writes pair counts only into its own per-cell buffer, so the resolver is
-/// race-free without locks.
+/// cells read them concurrently (immutable between barriers). Each cut edge
+/// has one pair counter, and only the cell owning the edge's lower-id
+/// endpoint ever increments it, so the resolver is race-free without locks.
 class Network::CutState final : public phy::CutResolver {
  public:
   static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
@@ -29,12 +29,11 @@ class Network::CutState final : public phy::CutResolver {
   void build(const sim::ShardPlan& plan) {
     edges_ = plan.cut_conflicts;
     slot_of_.assign(plan.num_links(), kNoSlot);
-    auto slot = [this, &plan](LinkId g) {
+    auto slot = [this](LinkId g) {
       if (slot_of_[g] == kNoSlot) {
         slot_of_[g] = static_cast<std::uint32_t>(partners_.size());
         partners_.emplace_back();
         records_.emplace_back();
-        owner_cell_.push_back(plan.cell_of[g]);
       }
       return slot_of_[g];
     };
@@ -45,7 +44,7 @@ class Network::CutState final : public phy::CutResolver {
       const std::uint32_t sb = slot(e.b);
       partners_[sb].push_back(PairRef{e.a, i});
     }
-    pair_counts_.assign(plan.cells.size(), std::vector<std::uint64_t>(edges_.size(), 0));
+    pair_counts_.assign(edges_.size(), 0);
   }
 
   /// Barrier phase (serial): remember one exported cut transmission.
@@ -70,15 +69,15 @@ class Network::CutState final : public phy::CutResolver {
     const std::uint32_t slot = slot_of_[link];
     RTMAC_ASSERT(slot != kNoSlot, "cut resolution for a non-cut link");
     bool collided = false;
-    std::vector<std::uint64_t>& counts = pair_counts_[owner_cell_[slot]];
     for (const PairRef& pr : partners_[slot]) {
       for (const sim::CutTxRecord& r : records_[slot_of_[pr.partner]]) {
         if (r.start < end && start < r.end) {
           collided = true;
           // Each overlapping transmission pair is counted exactly once: by
           // the lower-id side's completion (the other side sees the mirror
-          // overlap and skips).
-          if (link < pr.partner) ++counts[pr.pair_idx];
+          // overlap and skips). That side's cell is the edge counter's only
+          // writer.
+          if (link < pr.partner) ++pair_counts_[pr.pair_idx];
         }
       }
     }
@@ -93,24 +92,28 @@ class Network::CutState final : public phy::CutResolver {
           return x.a != y.a ? x.a < y.a : x.b < y.b;
         });
     if (it == edges_.end() || !(*it == e)) return 0;
-    const std::size_t idx = static_cast<std::size_t>(it - edges_.begin());
-    std::uint64_t total = 0;
-    for (const auto& counts : pair_counts_) total += counts[idx];
-    return total;
+    return pair_counts_[static_cast<std::size_t>(it - edges_.begin())];
+  }
+
+  /// Visits every cut edge with a nonzero count as fn(a, b, count), a < b.
+  template <typename Fn>
+  void for_each_pair(Fn&& fn) const {
+    for (std::size_t i = 0; i < edges_.size(); ++i) {
+      if (pair_counts_[i] != 0) fn(edges_[i].a, edges_[i].b, pair_counts_[i]);
+    }
   }
 
  private:
   struct PairRef {
     LinkId partner;         ///< the other endpoint (global id)
-    std::size_t pair_idx;   ///< index into edges_ / pair_counts_ rows
+    std::size_t pair_idx;   ///< index into edges_ / pair_counts_
   };
 
   std::vector<sim::CutEdge> edges_;                   ///< sorted cut conflicts
   std::vector<std::uint32_t> slot_of_;                ///< global link -> slot
   std::vector<std::vector<PairRef>> partners_;        ///< per slot
   std::vector<std::vector<sim::CutTxRecord>> records_;  ///< per slot, in drain order
-  std::vector<std::uint32_t> owner_cell_;             ///< per slot
-  std::vector<std::vector<std::uint64_t>> pair_counts_;  ///< [cell][pair] — no races
+  std::vector<std::uint64_t> pair_counts_;            ///< per cut edge; one writer each
 };
 
 // ---- Cell -------------------------------------------------------------------
@@ -447,14 +450,12 @@ void Network::attach_metrics(obs::MetricsRegistry* registry) {
   } else {
     // Each cell's medium/MAC instruments go to a private registry so the
     // parallel phase never shares one; merge_cell_metrics_into folds them.
+    // Detaching keeps what the cells recorded (a lone cell's instruments
+    // likewise stay in the caller's registry), so a collect after the
+    // detach still exports them.
     for (auto& cell : cells_) {
-      if (registry != nullptr) {
-        cell->registry = std::make_unique<obs::MetricsRegistry>();
-        cell->medium->set_metrics(cell->registry.get());
-      } else {
-        cell->medium->set_metrics(nullptr);
-        cell->registry.reset();
-      }
+      if (registry != nullptr) cell->registry = std::make_unique<obs::MetricsRegistry>();
+      cell->medium->set_metrics(registry != nullptr ? cell->registry.get() : nullptr);
     }
   }
   debt_gauges_.clear();
@@ -689,10 +690,23 @@ std::uint64_t Network::collision_pair_count(LinkId a, LinkId b) const {
   return cut_ != nullptr ? cut_->pair_count(a, b) : 0;
 }
 
-void Network::merge_cell_metrics_into(obs::MetricsRegistry& target) const {
+void Network::for_each_collision_pair(const CollisionPairVisitor& fn) const {
   for (const auto& cell : cells_) {
-    if (cell->registry != nullptr) target.merge_from(*cell->registry);
+    const std::vector<LinkId>& links = cell->links;
+    // Cell links ascend, so local a <= b stays global a <= b.
+    cell->medium->for_each_collision_pair(
+        [&](LinkId a, LinkId b, std::uint64_t count) { fn(links[a], links[b], count); });
   }
+  if (cut_ != nullptr) cut_->for_each_pair(fn);
+}
+
+void Network::merge_cell_metrics_into(obs::MetricsRegistry& target) const {
+  std::vector<const obs::MetricsRegistry*> sources;
+  sources.reserve(cells_.size());
+  for (const auto& cell : cells_) {
+    if (cell->registry != nullptr) sources.push_back(cell->registry.get());
+  }
+  target.merge_from(sources);
 }
 
 Network::MemoryBreakdown Network::memory_breakdown() const {

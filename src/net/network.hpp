@@ -82,7 +82,9 @@ class Network {
   /// check per interval). A single cell writes its medium/MAC instruments
   /// straight into `registry`; with several cells each writes a private
   /// registry (no cross-thread sharing) and merge_cell_metrics_into() folds
-  /// them into an export target.
+  /// them into an export target. Detaching keeps those per-cell registries
+  /// (so a collect after the detach still folds them); attaching again
+  /// starts fresh ones.
   void attach_metrics(obs::MetricsRegistry* registry);
 
   [[nodiscard]] const stats::LinkStatsCollector& stats() const { return stats_; }
@@ -130,11 +132,20 @@ class Network {
   /// Pairwise collision ledger (GLOBAL ids). Cross-cell pairs come from the
   /// cut resolver's ledger, intra-cell pairs from the owning Medium.
   [[nodiscard]] std::uint64_t collision_pair_count(LinkId a, LinkId b) const;
+  /// Called once per unordered pair with a nonzero collision count, as
+  /// (a, b, count) with GLOBAL ids a <= b (a == b: same-link overlap).
+  using CollisionPairVisitor = std::function<void(LinkId, LinkId, std::uint64_t)>;
+  /// Walks the stored collision ledgers: every cell's Medium ledger (mapped
+  /// to global ids), then the cut resolver's cross-cell edges. Cost is
+  /// O(ledger cells + cut edges), never O(links^2) on a sparse topology; the
+  /// visited counts equal collision_pair_count() for every nonzero pair.
+  void for_each_collision_pair(const CollisionPairVisitor& fn) const;
 
   /// Folds every cell's private metrics registry into `target` (counters
-  /// add, gauges last-write-win, histograms/sketches merge). No-op for a
-  /// single cell, which writes the attached registry directly. Call exactly
-  /// once per run, at collect time.
+  /// add, gauges last-write-win, histograms/sketches merge) in one pass:
+  /// each merged sketch reserves its union once, so the cost is O(total
+  /// retained samples). No-op for a single cell, which writes the attached
+  /// registry directly. Call exactly once per run, at collect time.
   void merge_cell_metrics_into(obs::MetricsRegistry& target) const;
 
   /// Per-subsystem byte accounting of the network's long-lived state

@@ -1,5 +1,7 @@
 #include "obs/collect.hpp"
 
+#include <vector>
+
 #include "mac/dp_link_mac.hpp"
 #include "net/network.hpp"
 #include "stats/deficiency.hpp"
@@ -34,7 +36,20 @@ void collect_network_metrics(MetricsRegistry& registry, const net::Network& netw
   registry.gauge("phy.collided_fraction")
       .set(sim_seconds > 0.0 ? counters.collided_time.seconds_f() / sim_seconds : 0.0);
 
+  // Who each link actually collided with, walked from the stored ledgers —
+  // each cell Medium's pair ledger for intra-cell pairs, the cut resolver's
+  // for cross-cell pairs — so the cost is O(ledger cells), not O(links^2).
+  // Each unordered pair is emitted once (self-pairs cover same-link overlap).
   const std::size_t n_links = network.config().num_links();
+  std::vector<std::uint32_t> partners(n_links, 0);
+  network.for_each_collision_pair([&](LinkId a, LinkId b, std::uint64_t pairs) {
+    registry.counter(link_metric(link_metric("phy.collision_pair", a), b)).inc(pairs);
+    if (a != b) {
+      ++partners[a];
+      ++partners[b];
+    }
+  });
+
   for (LinkId n = 0; n < n_links; ++n) {
     const auto& lc = network.link_counters(n);
     const std::uint64_t tx = lc.data_tx + lc.empty_tx;
@@ -52,19 +67,8 @@ void collect_network_metrics(MetricsRegistry& registry, const net::Network& netw
     registry.gauge(node_metric("medium.busy_fraction", n))
         .set(sim_seconds > 0.0 ? network.node_sense_busy_time(n).seconds_f() / sim_seconds
                                : 0.0);
-    // Who this link actually collided with: the owning Medium's pair ledger
-    // for intra-cell pairs, the cut resolver's ledger for cross-cell pairs.
-    std::uint64_t partners = 0;
-    for (LinkId other = 0; other < n_links; ++other) {
-      const std::uint64_t pairs = network.collision_pair_count(n, other);
-      if (other != n && pairs > 0) ++partners;
-      // Emit each unordered pair once (self-pairs cover same-link overlap).
-      if (other >= n && pairs > 0) {
-        registry.counter(link_metric(link_metric("phy.collision_pair", n), other)).inc(pairs);
-      }
-    }
     registry.gauge(link_metric("link.collision_partners", n))
-        .set(static_cast<double>(partners));
+        .set(static_cast<double>(partners[n]));
   }
 
   // DP-specific state, read straight from the batch kernel's SoA arrays

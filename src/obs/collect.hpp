@@ -23,11 +23,16 @@ namespace rtmac::obs {
 ///   link.delivery_rate.linkN    delivered / arrivals (gauge, 1.0 when idle)
 ///   link.collision_rate.linkN   collided tx / started tx (gauge)
 ///   link.timely_throughput.linkN, link.debt.linkN (gauges)
+///   link.collision_partners.linkN  links N collided with (gauge)
+///   phy.collision_pair.linkA.linkB collisions of pair A <= B (counter, only
+///                                  for pairs that collided)
 ///   phy.busy_fraction, phy.collided_fraction (gauges, of virtual time)
 ///   phy.tx_data, phy.tx_empty, phy.delivered, phy.collisions,
 ///   phy.channel_losses (counters)
 ///   net.deficiency, net.intervals (gauges)
 ///   sim.events_executed (counter), sim.virtual_seconds (gauge)
+/// Cost is O(links + stored collision-ledger cells): the pair metrics come
+/// from a walk of the ledgers, not from all links^2 pairs.
 void collect_network_metrics(MetricsRegistry& registry, const net::Network& network);
 
 }  // namespace rtmac::obs

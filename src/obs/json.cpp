@@ -3,12 +3,14 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <ostream>
+#include <type_traits>
 
 namespace rtmac::obs {
 
-std::string json_quote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+namespace {
+
+void append_quoted(std::string& out, std::string_view s) {
   out += '"';
   for (const char c : s) {
     switch (c) {
@@ -28,15 +30,38 @@ std::string json_quote(std::string_view s) {
     }
   }
   out += '"';
+}
+
+template <typename T>
+void append_number(std::string& out, T v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) {
+      out += "null";
+      return;
+    }
+  }
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  if (ec != std::errc{}) {
+    out += "null";
+    return;
+  }
+  out.append(buf, end);
+}
+
+}  // namespace
+
+std::string json_quote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  append_quoted(out, s);
   return out;
 }
 
 std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  if (ec != std::errc{}) return "null";
-  return std::string(buf, end);
+  std::string out;
+  append_number(out, v);
+  return out;
 }
 
 std::string json_number(std::int64_t v) { return std::to_string(v); }
@@ -44,31 +69,31 @@ std::string json_number(std::uint64_t v) { return std::to_string(v); }
 
 void JsonObject::key(std::string_view k) {
   if (body_.size() > 1) body_ += ',';
-  body_ += json_quote(k);
+  append_quoted(body_, k);
   body_ += ':';
 }
 
 JsonObject& JsonObject::field(std::string_view k, std::string_view v) {
   key(k);
-  body_ += json_quote(v);
+  append_quoted(body_, v);
   return *this;
 }
 
 JsonObject& JsonObject::field(std::string_view k, double v) {
   key(k);
-  body_ += json_number(v);
+  append_number(body_, v);
   return *this;
 }
 
 JsonObject& JsonObject::field(std::string_view k, std::int64_t v) {
   key(k);
-  body_ += json_number(v);
+  append_number(body_, v);
   return *this;
 }
 
 JsonObject& JsonObject::field(std::string_view k, std::uint64_t v) {
   key(k);
-  body_ += json_number(v);
+  append_number(body_, v);
   return *this;
 }
 
@@ -76,6 +101,18 @@ JsonObject& JsonObject::raw(std::string_view k, std::string_view json_value) {
   key(k);
   body_ += json_value;
   return *this;
+}
+
+JsonObject& JsonObject::raw_fields(std::string_view json_fields) {
+  if (json_fields.empty()) return *this;
+  if (body_.size() > 1) body_ += ',';
+  body_ += json_fields;
+  return *this;
+}
+
+void JsonObject::write_line(std::ostream& out) const {
+  out.write(body_.data(), static_cast<std::streamsize>(body_.size()));
+  out.write("}\n", 2);
 }
 
 namespace {

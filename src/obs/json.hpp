@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <optional>
 #include <string>
@@ -38,8 +39,16 @@ class JsonObject {
   }
   /// Splices a pre-rendered JSON value (array, nested object) verbatim.
   JsonObject& raw(std::string_view key, std::string_view json_value);
+  /// Splices pre-rendered `"key":value` pairs (comma-separated, no braces)
+  /// verbatim after the fields so far; empty is a no-op.
+  JsonObject& raw_fields(std::string_view json_fields);
 
   [[nodiscard]] std::string str() const { return body_ + "}"; }
+  /// Writes the closed object plus '\n' (one JSONL line) without copying.
+  void write_line(std::ostream& out) const;
+  /// Empties the object, keeping the buffer's capacity, so one builder can
+  /// render many lines without reallocating.
+  void clear() { body_.resize(1); }
 
  private:
   void key(std::string_view k);

@@ -165,21 +165,36 @@ QuantileSketch& MetricsRegistry::sketch(std::string_view name, const SketchOptio
 }
 
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {
-  for (const auto& [name, entry] : other.entries_) {
-    switch (entry.type) {
-      case Type::kCounter:
-        counter(name).inc(entry.counter->value());
-        break;
-      case Type::kGauge:
-        gauge(name).set(entry.gauge->value());
-        break;
-      case Type::kHistogram:
-        histogram(name, entry.histogram->bounds()).merge(*entry.histogram);
-        break;
-      case Type::kSketch:
-        sketch(name, entry.sketch->options()).merge(*entry.sketch);
-        break;
+  const MetricsRegistry* const one[] = {&other};
+  merge_from(one);
+}
+
+void MetricsRegistry::merge_from(std::span<const MetricsRegistry* const> sources) {
+  // Counters, gauges and histograms fold source by source. Each sketch's
+  // inputs are collected first and folded in one batch, so the target
+  // reserves their union once: O(total retained), not one re-copy of the
+  // growing union per source.
+  std::map<std::string_view, std::vector<const QuantileSketch*>> sketches;
+  for (const MetricsRegistry* other : sources) {
+    for (const auto& [name, entry] : other->entries_) {
+      switch (entry.type) {
+        case Type::kCounter:
+          counter(name).inc(entry.counter->value());
+          break;
+        case Type::kGauge:
+          gauge(name).set(entry.gauge->value());
+          break;
+        case Type::kHistogram:
+          histogram(name, entry.histogram->bounds()).merge(*entry.histogram);
+          break;
+        case Type::kSketch:
+          sketches[name].push_back(entry.sketch.get());
+          break;
+      }
     }
+  }
+  for (const auto& [name, inputs] : sketches) {
+    sketch(name, inputs.front()->options()).merge(inputs);
   }
 }
 
@@ -206,8 +221,9 @@ std::string json_array(const std::vector<std::uint64_t>& xs) {
 }  // namespace
 
 void MetricsRegistry::write_jsonl(std::ostream& out, std::string_view context) const {
+  JsonObject line;  // one buffer, reused for every line
   for (const auto& [name, entry] : entries_) {
-    JsonObject line;
+    line.clear();
     line.field("name", name);
     switch (entry.type) {
       case Type::kCounter:
@@ -246,15 +262,8 @@ void MetricsRegistry::write_jsonl(std::ostream& out, std::string_view context) c
         break;
       }
     }
-    std::string text = line.str();
-    if (!context.empty()) {
-      // Splice the caller's context fields before the closing brace.
-      text.pop_back();
-      text += ',';
-      text += context;
-      text += '}';
-    }
-    out << text << '\n';
+    // The caller's context fields go last, before the closing brace.
+    line.raw_fields(context).write_line(out);
   }
 }
 

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -126,6 +127,11 @@ class MetricsRegistry {
   /// registries of a sharded run into one export; merging the same source
   /// twice double-counts, so callers merge exactly once at collect time.
   void merge_from(const MetricsRegistry& other);
+  /// Folds every registry of `sources`, in order, in one pass: the same
+  /// result as one merge_from() per source, but each sketch merges its
+  /// inputs as one batch and so reserves their union once — the fold costs
+  /// O(total retained samples) however many sources there are.
+  void merge_from(std::span<const MetricsRegistry* const> sources);
 
   /// Starts streaming in-run snapshots: every `every`-th stream_tick()
   /// writes one full write_jsonl() snapshot (plus `context` and the tick's

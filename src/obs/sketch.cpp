@@ -39,6 +39,7 @@ void QuantileSketch::update(double v) {
   }
   ++count_;
   sum_ += v;
+  gathered_ = false;
   storage_[offset_[0] + size_[0]] = v;
   if (++size_[0] >= capacity_[0]) compact(0);
 }
@@ -67,29 +68,48 @@ void QuantileSketch::compact(std::size_t level) {
 }
 
 void QuantileSketch::merge(const QuantileSketch& other) {
-  RTMAC_REQUIRE(&other != this, "cannot merge a sketch into itself");
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
+  const QuantileSketch* const one[] = {&other};
+  merge(one);
+}
+
+void QuantileSketch::merge(std::span<const QuantileSketch* const> others) {
+  // Size both union buffers for the whole batch first: one allocation each,
+  // instead of re-copying the growing union once per input.
+  std::size_t samples = 0;
+  std::size_t sums = 0;
+  for (const QuantileSketch* other : others) {
+    RTMAC_REQUIRE(other != this, "cannot merge a sketch into itself");
+    if (other->count_ == 0) continue;
+    samples += other->retained();
+    sums += 1 + other->merged_sums_.size();
   }
-  count_ += other.count_;
-  exact_ = exact_ && other.exact_;
-  merged_.reserve(merged_.size() + other.retained());
-  for (std::size_t l = 0; l < kMaxLevels; ++l) {
-    const double* base = other.storage_.data() + other.offset_[l];
-    const std::uint64_t weight = std::uint64_t{1} << l;
-    for (std::uint32_t i = 0; i < other.size_[l]; ++i) {
-      merged_.push_back(Weighted{base[i], weight});
+  if (samples == 0) return;
+  merged_.reserve(merged_.size() + samples);
+  merged_sums_.reserve(merged_sums_.size() + sums);
+  gathered_ = false;
+  for (const QuantileSketch* other : others) {
+    if (other->count_ == 0) continue;
+    if (count_ == 0) {
+      min_ = other->min_;
+      max_ = other->max_;
+    } else {
+      min_ = std::min(min_, other->min_);
+      max_ = std::max(max_, other->max_);
     }
+    count_ += other->count_;
+    exact_ = exact_ && other->exact_;
+    for (std::size_t l = 0; l < kMaxLevels; ++l) {
+      const double* base = other->storage_.data() + other->offset_[l];
+      const std::uint64_t weight = std::uint64_t{1} << l;
+      for (std::uint32_t i = 0; i < other->size_[l]; ++i) {
+        merged_.push_back(Weighted{base[i], weight});
+      }
+    }
+    merged_.insert(merged_.end(), other->merged_.begin(), other->merged_.end());
+    merged_sums_.push_back(other->sum_);
+    merged_sums_.insert(merged_sums_.end(), other->merged_sums_.begin(),
+                        other->merged_sums_.end());
   }
-  merged_.insert(merged_.end(), other.merged_.begin(), other.merged_.end());
-  merged_sums_.push_back(other.sum_);
-  merged_sums_.insert(merged_sums_.end(), other.merged_sums_.begin(),
-                      other.merged_sums_.end());
 }
 
 double QuantileSketch::sum() const {
@@ -127,6 +147,7 @@ std::size_t QuantileSketch::retained() const {
 }
 
 void QuantileSketch::gather() const {
+  if (gathered_) return;
   scratch_.clear();
   scratch_.reserve(retained());
   for (std::size_t l = 0; l < kMaxLevels; ++l) {
@@ -140,6 +161,10 @@ void QuantileSketch::gather() const {
   std::sort(scratch_.begin(), scratch_.end(), [](const Weighted& a, const Weighted& b) {
     return a.value < b.value || (a.value == b.value && a.weight < b.weight);  // lint-ok: float-equality total order for determinism
   });
+  std::uint64_t total_weight = 0;
+  for (const Weighted& w : scratch_) total_weight += w.weight;
+  RTMAC_ASSERT(total_weight == count_, "retained weight drifted from the input count");
+  gathered_ = true;
 }
 
 double QuantileSketch::quantile(double q) const {
@@ -151,12 +176,9 @@ double QuantileSketch::quantile(double q) const {
   gather();
   // Inverted-CDF rank over the weighted multiset (1-based, ceil — the same
   // convention Histogram::quantile uses); exact when every weight is 1.
-  std::uint64_t total_weight = 0;
-  for (const Weighted& w : scratch_) total_weight += w.weight;
-  RTMAC_ASSERT(total_weight == count_, "retained weight drifted from the input count");
-  auto rank = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(total_weight)));
-  rank = std::clamp<std::uint64_t>(rank, 1, total_weight);
+  // gather() checked that the retained weight equals count_.
+  auto rank = static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count_)));
+  rank = std::clamp<std::uint64_t>(rank, 1, count_);
   std::uint64_t cumulative = 0;
   for (const Weighted& w : scratch_) {
     cumulative += w.weight;

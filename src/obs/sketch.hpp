@@ -24,6 +24,16 @@
 //    sketches therefore yields byte-identical exports for ANY merge order
 //    or grouping, at the cost of O(retained) memory per merged input.
 //
+// Costs:
+//  - merge() of a batch of inputs reserves the merged-sample buffer for
+//    their whole union once, then appends: O(total retained) time, and the
+//    buffer is never over-allocated. Fold many sketches (e.g. every cell
+//    registry of a sharded run) with one batch call, not one call per
+//    input, or each call re-copies the growing union.
+//  - Estimates read a sorted gather of every retained sample. The gather
+//    is cached until the next update()/merge(), so the quantiles of one
+//    export (p50/p90/p99) share a single O(r log r) sort.
+//
 // The update path performs zero steady-state allocations: all compactor
 // levels are pre-sized at construction (CI-gated by BM_SketchUpdateAllocs,
 // like the event queue's steady state).
@@ -31,6 +41,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -75,6 +86,10 @@ class QuantileSketch {
   /// of sketches exports byte-identically. Allocates (grows the merged-
   /// sample buffer); not an update-hot-path operation.
   void merge(const QuantileSketch& other);
+  /// Folds every sketch of `others`, in order — the same state as merging
+  /// them one at a time, but the merged-sample buffer is reserved for the
+  /// whole union once, so the batch costs O(total retained).
+  void merge(std::span<const QuantileSketch* const> others);
 
   [[nodiscard]] std::uint64_t count() const { return count_; }
   /// Exact-count-weighted sum, reduced in a canonical order over the own
@@ -111,6 +126,7 @@ class QuantileSketch {
   void compact(std::size_t level);
   /// Fills scratch_ with every retained weighted sample, sorted by value
   /// (ties by weight) — the canonical multiset view all estimates use.
+  /// No-op while the cached gather is still current.
   void gather() const;
 
   SketchOptions opts_;
@@ -129,6 +145,7 @@ class QuantileSketch {
   std::vector<Weighted> merged_;     ///< union of merged inputs' samples
   std::vector<double> merged_sums_;  ///< each merged input's own-stream sum
   mutable std::vector<Weighted> scratch_;  ///< estimate workspace (lazy)
+  mutable bool gathered_ = false;  ///< scratch_ is current; update/merge clear it
 };
 
 }  // namespace rtmac::obs

@@ -251,6 +251,30 @@ class Medium {
     return cell != nullptr ? *cell : 0;
   }
 
+  /// Visits every nonzero ledger entry once per unordered pair, as
+  /// fn(a, b, count) with local ids a <= b in ascending (a, b) order (a == b
+  /// is a same-link overlap). Walks only the stored ledger — the dense
+  /// matrix of a complete graph, the CSR rows otherwise — so the cost is
+  /// O(ledger cells), never O(n^2) on a sparse topology.
+  template <typename Fn>
+  void for_each_collision_pair(Fn&& fn) const {
+    const std::size_t n = num_links_;
+    if (!pair_dense_.empty()) {
+      for (LinkId a = 0; a < n; ++a) {
+        const std::uint64_t* row = pair_dense_.data() + static_cast<std::size_t>(a) * n;
+        for (LinkId b = a; b < n; ++b) {
+          if (row[b] != 0) fn(a, b, row[b]);
+        }
+      }
+      return;
+    }
+    for (LinkId a = 0; a < n; ++a) {
+      for (std::uint32_t i = pair_row_[a]; i < pair_row_[a + 1]; ++i) {
+        if (pair_col_[i] >= a && pair_count_[i] != 0) fn(a, pair_col_[i], pair_count_[i]);
+      }
+    }
+  }
+
   /// Bytes of per-link cold state this Medium holds (counters, sense views,
   /// collision ledger, loss streams, listener table) — feeds the mem.phy
   /// gauge. Arena-backed spans are counted here, not double-counted by the

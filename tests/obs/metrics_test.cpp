@@ -9,11 +9,13 @@
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "expfw/scenarios.hpp"
 #include "net/network.hpp"
 #include "obs/collect.hpp"
 #include "obs/json.hpp"
+#include "util/rng.hpp"
 
 namespace rtmac::obs {
 namespace {
@@ -358,6 +360,45 @@ TEST(RegistryMergeTest, MergingPerCellRegistriesMatchesTheFlatRegistry) {
             flat.histogram("h", {8.0, 32.0}).bucket_counts());
   EXPECT_DOUBLE_EQ(merged.histogram("h", {8.0, 32.0}).sum(),
                    flat.histogram("h", {8.0, 32.0}).sum());
+}
+
+TEST(RegistryMergeTest, OnePassMergeWritesTheSameBytesAsSequentialMerges) {
+  // The sharded collect path folds every cell registry in one pass; the
+  // export must equal folding them one merge_from() at a time. Sketches are
+  // pushed past their exact threshold so compacted levels merge too, and
+  // the target starts non-empty so pre-existing instruments fold as well.
+  constexpr int kCells = 6;
+  MetricsRegistry cells[kCells];
+  for (int c = 0; c < kCells; ++c) {
+    Rng rng{static_cast<std::uint64_t>(c) + 1};
+    cells[c].counter("n").inc(static_cast<std::uint64_t>(c) + 1);
+    cells[c].gauge("g").set(c);
+    cells[c].counter(link_metric("only", static_cast<std::uint32_t>(c))).inc();
+    cells[c].histogram("h", {8.0, 32.0}).observe(c * 7.0);
+    QuantileSketch& lat = cells[c].sketch("lat", {/*k=*/32, /*exact_threshold=*/64});
+    for (int i = 0; i < 500 * (c + 1); ++i) lat.update(rng.next_double() * (c + 1));
+    if (c % 2 == 0) cells[c].sketch("sparse").update(c);
+  }
+  const auto seeded = [](MetricsRegistry& reg) {
+    reg.counter("n").inc(100);
+    reg.sketch("lat", {/*k=*/32, /*exact_threshold=*/64}).update(-3.0);
+  };
+  MetricsRegistry sequential;
+  seeded(sequential);
+  for (const auto& cell : cells) sequential.merge_from(cell);
+  MetricsRegistry one_pass;
+  seeded(one_pass);
+  std::vector<const MetricsRegistry*> sources;
+  for (const auto& cell : cells) sources.push_back(&cell);
+  one_pass.merge_from(sources);
+
+  std::ostringstream want;
+  sequential.write_jsonl(want, R"("rep":0)");
+  std::ostringstream got;
+  one_pass.write_jsonl(got, R"("rep":0)");
+  EXPECT_EQ(got.str(), want.str());
+  EXPECT_FALSE(one_pass.sketch("lat").exact());  // compacted inputs were folded
+  EXPECT_EQ(one_pass.counter("n").value(), 121u);
 }
 
 }  // namespace

@@ -236,6 +236,61 @@ TEST(SketchTest, MergingExactSketchesStaysExact) {
   EXPECT_DOUBLE_EQ(a.max(), 39.0);
 }
 
+// Estimates reuse one sorted gather until the sketch changes; an update()
+// or merge() after a quantile() must invalidate it, or the next export
+// would report the old samples.
+TEST(SketchTest, QuantilesSeeSamplesAddedAfterAnEarlierRead) {
+  // Each step adds samples below the ones already read, so a stale gather
+  // would report a different value than the current multiset.
+  QuantileSketch s{{/*k=*/16, /*exact_threshold=*/64}};
+  for (int i = 1; i <= 10; ++i) s.update(static_cast<double>(i));
+  EXPECT_DOUBLE_EQ(s.quantile(0.5), 5.0);
+  EXPECT_DOUBLE_EQ(s.quantile(0.9), 9.0);
+
+  for (int i = 0; i < 10; ++i) s.update(0.0);  // 0 x10, 1..10
+  EXPECT_DOUBLE_EQ(s.quantile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(s.quantile(0.9), 8.0);
+
+  QuantileSketch low{{/*k=*/16, /*exact_threshold=*/64}};
+  for (int i = 0; i < 40; ++i) low.update(-1.0);
+  s.merge(low);  // -1 x40, 0 x10, 1..10
+  EXPECT_DOUBLE_EQ(s.quantile(0.5), -1.0);
+  EXPECT_DOUBLE_EQ(s.quantile(0.75), 0.0);
+
+  // A batch merge invalidates the same way.
+  QuantileSketch lower{{/*k=*/16, /*exact_threshold=*/64}};
+  for (int i = 0; i < 200; ++i) lower.update(-5.0);
+  const QuantileSketch* const batch[] = {&lower};
+  s.merge(batch);  // -5 x200, -1 x40, 0 x10, 1..10
+  EXPECT_DOUBLE_EQ(s.quantile(0.5), -5.0);
+  EXPECT_DOUBLE_EQ(s.quantile(0.9), -1.0);
+  EXPECT_EQ(s.count(), 260u);
+}
+
+// A batch merge is the same fold as one merge() per input, in order.
+TEST(SketchTest, BatchMergeMatchesSequentialMerges) {
+  std::vector<QuantileSketch> parts;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    QuantileSketch s{{/*k=*/32, /*exact_threshold=*/32, seed}};
+    Rng rng{seed};
+    const int n = seed == 3 ? 0 : static_cast<int>(seed * 900);  // one empty input
+    for (int i = 0; i < n; ++i) s.update(rng.next_double() * static_cast<double>(seed));
+    parts.push_back(s);
+  }
+  QuantileSketch sequential{{/*k=*/32, /*exact_threshold=*/32}};
+  sequential.update(0.5);
+  QuantileSketch batched = sequential;
+  std::vector<const QuantileSketch*> inputs;
+  for (const QuantileSketch& p : parts) {
+    sequential.merge(p);
+    inputs.push_back(&p);
+  }
+  batched.merge(inputs);
+  EXPECT_EQ(export_fingerprint(batched), export_fingerprint(sequential));
+  EXPECT_EQ(batched.retained(), sequential.retained());
+  EXPECT_EQ(batched.exact(), sequential.exact());
+}
+
 // The whole point of pre-sized compactors: once constructed, update()
 // never touches the allocator, however many compaction cascades run.
 TEST(SketchTest, UpdatePathIsAllocationFree) {
