@@ -72,16 +72,30 @@ int main(int argc, char** argv) {
   const double p = args.get("p", 0.7);
   const auto intervals = static_cast<IntervalIndex>(intervals_arg);
   const auto seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
-  const auto pairs = static_cast<int>(args.get("pairs", std::int64_t{1}));
+  const std::int64_t pairs_arg = args.get("pairs", std::int64_t{1});
+  const std::int64_t stream_every = args.get("stream-every", std::int64_t{10});
+  const double alpha = args.get("alpha", 0.55);
+  const double lambda = args.get("lambda", 0.78);
+  // The arrival constructors only assert their ranges, and those checks
+  // compile out of release builds, so the CLI rejects bad values itself.
+  const char* invalid = pairs_arg < 1                       ? "--pairs must be >= 1"
+                        : stream_every < 1                  ? "--stream-every must be >= 1"
+                        : !(alpha >= 0.0 && alpha <= 1.0)   ? "--alpha must be in [0, 1]"
+                        : !(lambda >= 0.0 && lambda <= 1.0) ? "--lambda must be in [0, 1]"
+                                                            : nullptr;
+  if (invalid != nullptr) {
+    std::cerr << invalid << "\n";
+    usage();
+    return 2;
+  }
+  const auto pairs = static_cast<int>(pairs_arg);
 
   net::NetworkConfig cfg;
   if (profile == "video") {
-    const double alpha = args.get("alpha", 0.55);
     cfg = net::symmetric_network(links, Duration::milliseconds(20),
                                  phy::PhyParams::video_80211a(), p,
                                  traffic::UniformBurstyArrivals{alpha}, rho, seed);
   } else if (profile == "control") {
-    const double lambda = args.get("lambda", 0.78);
     cfg = net::symmetric_network(links, Duration::milliseconds(2),
                                  phy::PhyParams::control_80211a(), p,
                                  traffic::BernoulliArrivals{lambda}, rho, seed);
@@ -120,8 +134,7 @@ int main(int argc, char** argv) {
   net::Network& network = *built;
   expfw::RunObserver observer{
       args.get("metrics-out", std::string{}), args.get("trace-out", std::string{}),
-      args.get("metrics-stream", std::string{}),
-      static_cast<std::uint64_t>(args.get("stream-every", std::int64_t{10}))};
+      args.get("metrics-stream", std::string{}), static_cast<std::uint64_t>(stream_every)};
   observer.attach(network, scheme_name);
   network.run(intervals);
   if (!observer.finish()) return 1;

@@ -72,15 +72,20 @@ BenchArgs parse_bench_args(int argc, const char* const* argv,
 
   BenchArgs out;
   // Legacy style: a bare positional integer is the interval count.
-  IntervalIndex intervals = default_intervals;
+  std::int64_t intervals = static_cast<std::int64_t>(default_intervals);
   if (!args.positional().empty()) {
-    intervals = std::strtoull(args.positional().front().c_str(), nullptr, 10);
-    if (intervals == 0) intervals = default_intervals;
+    intervals = std::strtoll(args.positional().front().c_str(), nullptr, 10);
+    if (intervals == 0) intervals = static_cast<std::int64_t>(default_intervals);
   }
-  intervals = static_cast<IntervalIndex>(
-      require_int("intervals", static_cast<std::int64_t>(intervals)));
+  intervals = require_int("intervals", intervals);
+  if (intervals < 0) {
+    // An unchecked cast would wrap to ~1.8e19 intervals and never finish.
+    std::cerr << "--intervals must be >= 0\n";
+    std::exit(2);
+  }
   out.smoke = args.get("smoke", false);
-  out.intervals = out.smoke ? std::min(intervals, smoke_intervals) : intervals;
+  out.intervals = out.smoke ? std::min(static_cast<IntervalIndex>(intervals), smoke_intervals)
+                            : static_cast<IntervalIndex>(intervals);
   const std::int64_t reps = require_int("reps", 1);
   const std::int64_t jobs = require_int("jobs", 0);
   if (reps < 1) {

@@ -1,6 +1,7 @@
 #include "mac/backoff_engine.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 

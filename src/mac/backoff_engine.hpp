@@ -16,6 +16,7 @@
 
 #include <vector>
 
+#include "core/types.hpp"
 #include "phy/medium.hpp"
 #include "sim/simulator.hpp"
 #include "util/inplace_function.hpp"

@@ -6,6 +6,13 @@
 // backoff in [0, CW-1], CW doubling from cw_min to cw_max on every failed
 // attempt (collision or channel loss), reset to cw_min on success. Debt- and
 // deadline-oblivious within an interval except for the standard gap rule.
+//
+// One layout: flat SoA per-link state (window, buffer, RNG stream). Only the
+// backoff clock depends on the cell's sense views. A complete-sensing domain
+// arms ONE SharedBackoffClock (one listener visit per busy/idle edge, one
+// pending expiry event for the domain); otherwise each link counts down on
+// its own BackoffEngine over its own sense view (hidden terminals). Both
+// clocks consume the same per-link RNG streams in the same order.
 #pragma once
 
 #include <memory>
@@ -24,70 +31,12 @@ namespace rtmac::mac {
 struct DcfParams {
   int cw_min = 16;
   int cw_max = 1024;
-  /// Forces the per-link BackoffEngine path even on complete-sensing
-  /// topologies (equivalence tests; the batch path must be bit-identical).
-  bool force_scalar_path = false;
 };
 
-/// Per-link DCF state machine. `id` indexes the Medium (cell-local under
-/// sharding); `stream_link` keys the backoff RNG stream and defaults to
-/// `id` — a shard cell passes the link's global id so the draw sequence is
-/// identical to the unsharded run.
-class DcfLinkMac {
- public:
-  DcfLinkMac(sim::Simulator& simulator, phy::Medium& medium, DcfParams params,
-             Duration data_airtime, Duration slot, LinkId id, std::uint64_t seed,
-             LinkId stream_link = kSameAsId);
-
-  /// Sentinel for `stream_link`: use `id`.
-  static constexpr LinkId kSameAsId = static_cast<LinkId>(-1);
-
-  DcfLinkMac(const DcfLinkMac&) = delete;
-  DcfLinkMac& operator=(const DcfLinkMac&) = delete;
-
-  void begin_interval(IntervalIndex k, int arrivals, TimePoint interval_end);
-  int end_interval();
-
-  [[nodiscard]] int current_window() const { return cw_; }
-
- private:
-  void contend();
-  void on_backoff_expired();
-  void on_tx_done(phy::TxOutcome outcome);
-
-  sim::Simulator& sim_;
-  phy::Medium& medium_;
-  DcfParams params_;
-  Duration data_airtime_;
-  LinkId id_;
-  Rng rng_;
-
-  TimePoint interval_end_;
-  int buffer_ = 0;
-  int delivered_ = 0;
-  int cw_;
-  BackoffEngine backoff_;
-};
-
-/// MacScheme gluing N DCF links together.
-///
-/// Two layouts behind one interface:
-///   * BATCH (complete-sensing domains, the default there): flat SoA per-link
-///     state (window, buffer, RNG stream) plus ONE SharedBackoffClock for the
-///     whole domain, replacing N BackoffEngines. Busy/idle edges cost one
-///     listener visit instead of N, and the domain holds one pending expiry
-///     event instead of N. Draw-for-draw identical to the scalar path (same
-///     per-link RNG streams consumed in the same order).
-///   * SCALAR (partial sensing, or force_scalar_path): per-link DcfLinkMac
-///     machines in ONE contiguous arena block (placement-constructed,
-///     destroyed by the scheme) instead of N heap objects: at 10^5+ links the
-///     pointer-chasing and per-object malloc overhead of a unique_ptr layout
-///     dominated construction and polluted the interval hot loop's cache
-///     footprint.
+/// MacScheme running N DCF links.
 class DcfScheme final : public MacScheme {
  public:
   DcfScheme(const SchemeContext& ctx, DcfParams params, std::string name);
-  ~DcfScheme() override;
 
   void begin_interval(IntervalIndex k, std::span<const int> arrivals,
                       TimePoint interval_end) override;
@@ -98,8 +47,11 @@ class DcfScheme final : public MacScheme {
     return clock_ != nullptr ? 1 : 6;
   }
 
-  /// True when this instance runs the shared-clock batch path.
+  /// True when one shared clock drives every countdown (complete sensing).
   [[nodiscard]] bool batch_path() const { return clock_ != nullptr; }
+
+  /// Link n's contention window (diagnostics).
+  [[nodiscard]] int current_window(LinkId n) const { return cw_[n]; }
 
  private:
   void contend(LinkId n);
@@ -111,13 +63,13 @@ class DcfScheme final : public MacScheme {
   DcfParams params_;
   Duration data_airtime_;
 
-  // Scalar layout.
-  DcfLinkMac* links_ = nullptr;  ///< contiguous block of num_links_ machines
-  std::size_t num_links_ = 0;
-  std::unique_ptr<util::Arena> own_arena_;  ///< fallback when ctx.arena is null
-
-  // Batch layout (SoA, indexed by local link id).
+  // Exactly one clock: the shared one, or one engine per link.
   std::unique_ptr<SharedBackoffClock> clock_;
+  // Built in link order (their listener order); each registered `this` with
+  // the Medium, so they live behind pointers and never move.
+  std::vector<std::unique_ptr<BackoffEngine>> engines_;
+
+  // Per-link state (SoA, indexed by local link id).
   std::vector<Rng> rng_;
   std::vector<int> cw_;
   std::vector<int> buffer_;

@@ -109,7 +109,6 @@ DpBatchKernel::DpBatchKernel(std::size_t num_links, SharedSeed shared_seed,
     const PriorityIndex pr = initial_priorities[n];
     RTMAC_REQUIRE(pr >= 1 && pr <= priority_space_);
     sigma_[n] = pr;
-    // Same stream derivation as the scalar DpLinkMac, so coin draws agree.
     // A shard cell keys by global id so its draws match the unsharded run.
     const LinkId stream = stream_ids.empty() ? n : stream_ids[n];
     coin_rng_.emplace_back(seed, /*stream_id=*/0xD100000000ULL + stream);
@@ -311,7 +310,7 @@ void DpBatchBackoff::on_medium_busy(TimePoint t) {
   expiry_event_ = sim::EventId{};
   if (sim::Tracer* tracer = medium_.tracer(); tracer != nullptr) {
     // Per-engine emulation: every link whose window has not yet elapsed
-    // freezes here, in link order (the order the scalar engines registered).
+    // freezes here, in link order (the order per-link engines registered).
     for (LinkId n = 0; n < num_links_; ++n) {
       if (betas_[n] > elapsed) {
         tracer->record(t, sim::TraceKind::kBackoffFrozen, n, betas_[n] - elapsed);
@@ -351,7 +350,7 @@ void DpBatchBackoff::account_freezes(TimePoint resume_at) {
   }
   if (freeze_hist_ == nullptr) return;
   const Duration frozen_for = resume_at - freeze_time_;
-  // Same accounting the scalar engines perform independently: every link
+  // Same accounting per-link engines perform independently: every link
   // still counting down when the freeze began spent `frozen_for` frozen.
   for (LinkId n = 0; n < num_links_; ++n) {
     if (betas_[n] > elapsed_frozen_) {

@@ -1,23 +1,20 @@
-// Batch SoA kernel for the DP protocol's per-interval passes.
+// SoA kernel and shared backoff clock for the DP protocol.
 //
 // The paper's Algorithm 2 does all of its per-interval work — candidate-pair
 // draw, biased coins, backoff-window computation, swap resolution —
-// independently per link. The scalar implementation mirrors that as N
-// per-link state machines (DpLinkMac), which is faithful but costs virtual
-// dispatch, pointer chasing, and N backoff event streams per interval.
-//
-// This header factors the per-interval math into flat structure-of-arrays
-// passes over all links of one collision domain:
+// independently per link. This header factors that math into flat
+// structure-of-arrays passes over all links of one cell:
 //
 //   * DpBatchKernel — SoA arrays (priorities, roles, coins, backoff windows)
 //     plus the flat passes that fill them (plan_interval) and fold the
 //     carrier-sense record back into priorities (resolve_swap). Owns no
 //     event-engine state, so it is directly testable against the per-link
-//     formulas.
-//   * DpBatchBackoff — one shared backoff clock replacing N BackoffEngines.
-//     Under complete sensing every DP countdown freezes and resumes at the
-//     same instants, so the N engines are one elapsed-slot counter plus the
-//     next-expiry schedule over the (unique) per-link windows.
+//     formulas, and DpScheme drives it whichever clock counts down.
+//   * DpBatchBackoff — the clock of a complete-sensing domain: one shared
+//     clock replacing N BackoffEngines. Under complete sensing every DP
+//     countdown freezes and resumes at the same instants, so the N engines
+//     are one elapsed-slot counter plus the next-expiry schedule over the
+//     (unique) per-link windows, and one shared freeze log.
 //
 // All buffers are pre-sized at construction; the steady-state interval path
 // performs no heap allocation (CI gates BM_DbdpIntervalAllocs at 0).
@@ -87,10 +84,9 @@ class SharedSeed {
 [[nodiscard]] bool dp_is_candidate(PriorityIndex sigma, std::span<const PriorityIndex> pairs,
                                    bool* is_lower = nullptr);
 
-/// SoA per-interval state for all links of one collision domain, plus the
-/// flat passes that compute it. The kernel holds only protocol math — no
-/// event-engine or transmission state — so both the batch path and the
-/// scalar reference path (DpLinkMac) drive it and stay bit-identical.
+/// SoA per-interval state for all links of one cell, plus the flat passes
+/// that compute it. The kernel holds only protocol math — no event-engine or
+/// transmission state — so it is the same under either backoff clock.
 class DpBatchKernel {
  public:
   enum class Role : std::uint8_t { kBystander = 0, kLower = 1, kUpper = 2 };
@@ -98,8 +94,7 @@ class DpBatchKernel {
   /// `initial_priorities[n]` is link n's sigma in {1..P} where P is the
   /// priority space (defaults to num_links, in which case the priorities
   /// must form a permutation of {1..N}). `provider` must outlive the kernel.
-  /// Per-link coin streams are derived from `seed` exactly as the scalar
-  /// path does, so batch and scalar draws coincide.
+  /// Link n's coin stream is derived from `seed` and n's stream id.
   ///
   /// Sharding: a cell kernel holds only its own links but their priorities
   /// live in the GLOBAL space — pass `priority_space` = total links so the
@@ -153,7 +148,7 @@ class DpBatchKernel {
   bool reordering_;
   int max_pairs_;
   std::size_t priority_space_;
-  std::vector<Rng> coin_rng_;  ///< one stream per link, same derivation as scalar
+  std::vector<Rng> coin_rng_;  ///< one coin stream per link
 
   // SoA per-interval state, indexed by LinkId.
   std::vector<PriorityIndex> sigma_;  ///< priority carried into the interval
@@ -197,7 +192,7 @@ class DpBatchBackoff final : public phy::MediumListener {
   /// Arms the shared clock for a new interval. `betas[n]` is link n's
   /// window; links with `armed[n] == 0` have nothing to send and are
   /// excluded from the expiry schedule unless `include_unarmed` is set
-  /// (tracing mode: the scalar path fires — and traces — their expiries
+  /// (tracing mode: per-link engines fire — and trace — their expiries
   /// too, so parity requires scheduling them).
   void begin_interval(TimePoint now, std::span<const int> betas,
                       std::span<const std::uint8_t> armed, bool include_unarmed);

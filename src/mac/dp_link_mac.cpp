@@ -10,13 +10,8 @@ namespace rtmac::mac {
 // ---- DpLinkAir --------------------------------------------------------------
 
 DpLinkAir::DpLinkAir(sim::Simulator& simulator, phy::Medium& medium, const DpLinkParams& params,
-                     LinkId id, ReliabilityEstimator* estimator, bool allow_burst)
-    : sim_{simulator},
-      medium_{medium},
-      params_{params},
-      id_{id},
-      estimator_{estimator},
-      allow_burst_{allow_burst} {}
+                     LinkId id, ReliabilityEstimator* estimator)
+    : sim_{simulator}, medium_{medium}, params_{params}, id_{id}, estimator_{estimator} {}
 
 void DpLinkAir::begin(int arrivals, TimePoint interval_end, bool is_candidate) {
   RTMAC_REQUIRE(arrivals >= 0);
@@ -31,7 +26,7 @@ void DpLinkAir::begin(int arrivals, TimePoint interval_end, bool is_candidate) {
 }
 
 void DpLinkAir::on_slot_won() {
-  if (allow_burst_ && medium_.burst_available()) {
+  if (medium_.burst_available()) {
     run_burst();
     return;
   }
@@ -153,21 +148,6 @@ int DpLinkAir::finish() {
   return delivered_;
 }
 
-// ---- DpLinkMac (scalar reference path) --------------------------------------
-
-DpLinkMac::DpLinkMac(sim::Simulator& simulator, phy::Medium& medium, const DpLinkParams& params,
-                     LinkId id, ReliabilityEstimator* estimator, LinkId trace_link)
-    : air_{simulator, medium, params, id, estimator},
-      backoff_{simulator, medium, params.backoff_slot, id} {
-  backoff_.set_trace_link(trace_link == kSameAsId ? id : trace_link);
-}
-
-void DpLinkMac::begin_interval(int arrivals, TimePoint interval_end, bool is_candidate,
-                               int backoff_count) {
-  air_.begin(arrivals, interval_end, is_candidate);
-  backoff_.start(backoff_count, [this] { air_.on_slot_won(); });
-}
-
 // ---- DpScheme ---------------------------------------------------------------
 
 namespace {
@@ -211,25 +191,23 @@ DpScheme::DpScheme(const SchemeContext& ctx, std::unique_ptr<PriorityProvider> p
               params.max_swap_pairs,    initial_priority_array(ctx, initial),
               ctx.seed,                 ctx.priority_space(),
               ctx.link_ids},
-      name_{std::move(name)},
-      sensing_complete_{ctx.medium.topology().complete_sensing()},
-      batch_{sensing_complete_ && !params.force_scalar_path} {
-  if (batch_) {
-    airs_.reserve(ctx.num_links);
-    for (LinkId n = 0; n < ctx.num_links; ++n) {
-      airs_.emplace_back(ctx.simulator, ctx.medium, params, n, estimator,
-                         /*allow_burst=*/true);
-    }
+      name_{std::move(name)} {
+  airs_.reserve(ctx.num_links);
+  for (LinkId n = 0; n < ctx.num_links; ++n) {
+    airs_.emplace_back(ctx.simulator, ctx.medium, params, n, estimator);
+  }
+  if (ctx.medium.topology().complete_sensing()) {
     armed_scratch_.assign(ctx.num_links, 0);
     batch_backoff_ = std::make_unique<DpBatchBackoff>(
         ctx.simulator, ctx.medium, params.backoff_slot, ctx.num_links,
         freeze_capacity_hint(ctx.interval_length, params),
         DpBatchBackoff::ExpiryHandler{[this](LinkId n) { on_slot_won(n); }});
   } else {
-    links_.reserve(ctx.num_links);
+    engines_.reserve(ctx.num_links);
     for (LinkId n = 0; n < ctx.num_links; ++n) {
-      links_.push_back(std::make_unique<DpLinkMac>(ctx.simulator, ctx.medium, params, n,
-                                                   estimator, ctx.global_id(n)));
+      engines_.push_back(
+          std::make_unique<BackoffEngine>(ctx.simulator, ctx.medium, params.backoff_slot, n));
+      engines_.back()->set_trace_link(ctx.global_id(n));
     }
   }
 }
@@ -242,59 +220,56 @@ void DpScheme::begin_interval(IntervalIndex k, std::span<const int> arrivals,
   RTMAC_REQUIRE(arrivals.size() == n_links);
   // Steps 1, 3, 4 for every link, as flat SoA passes.
   kernel_.plan_interval(k);
-  if (!batch_) {
-    for (LinkId n = 0; n < n_links; ++n) {
-      links_[n]->begin_interval(arrivals[n], interval_end, kernel_.is_candidate(n),
-                                kernel_.backoff_count(n));
-    }
-    return;
-  }
   sim::Tracer* tracer = medium_.tracer();
   for (LinkId n = 0; n < n_links; ++n) {
     airs_[n].begin(arrivals[n], interval_end, kernel_.is_candidate(n));
+    if (batch_backoff_ == nullptr) {
+      engines_[n]->start(kernel_.backoff_count(n), [this, n] { on_slot_won(n); });
+      continue;
+    }
     armed_scratch_[n] = airs_[n].armed() ? 1 : 0;
     if (tracer != nullptr) {
-      // Per-engine emulation: each scalar engine traces its arming.
+      // Per-engine emulation: a per-link engine traces its arming.
       tracer->record(sim_.now(), sim::TraceKind::kBackoffArmed, n, kernel_.backoff_count(n));
     }
   }
   // Unarmed links can never transmit, so their expiries are observable only
   // through the trace; schedule them only when someone is watching.
-  batch_backoff_->begin_interval(sim_.now(), kernel_.backoff_counts(), armed_scratch_,
-                                 /*include_unarmed=*/tracer != nullptr);
+  if (batch_backoff_ != nullptr) {
+    batch_backoff_->begin_interval(sim_.now(), kernel_.backoff_counts(), armed_scratch_,
+                                   /*include_unarmed=*/tracer != nullptr);
+  }
 }
 
 void DpScheme::end_interval(std::span<int> delivered) {
   const std::size_t n_links = kernel_.num_links();
   RTMAC_REQUIRE(delivered.size() == n_links);
   sim::Tracer* tracer = medium_.tracer();
-  if (batch_) batch_backoff_->stop();
+  if (batch_backoff_ != nullptr) batch_backoff_->stop();
+  for (const auto& engine : engines_) engine->stop();
   for (LinkId n = 0; n < n_links; ++n) {
-    bool frozen_at_one = false;
-    bool claim_aired = false;
-    if (batch_) {
-      frozen_at_one = batch_backoff_->frozen_with_remaining(kernel_.backoff_count(n), 1);
-      claim_aired = airs_[n].aired();
-    } else {
-      links_[n]->stop_backoff();
-      frozen_at_one = links_[n]->frozen_at_one();
-      claim_aired = links_[n]->claim_aired();
-    }
+    const bool frozen_at_one =
+        batch_backoff_ != nullptr
+            ? batch_backoff_->frozen_with_remaining(kernel_.backoff_count(n), 1)
+            : engines_[n]->was_frozen_at(1);
     const PriorityIndex before = kernel_.priority(n);
-    const int delta = kernel_.resolve_swap(n, frozen_at_one, claim_aired);
+    // A claim airs only from this interval's expiry, so aired() also says the
+    // countdown expired.
+    const int delta = kernel_.resolve_swap(n, frozen_at_one, airs_[n].aired());
     if (delta != 0 && tracer != nullptr) {
       tracer->record(sim_.now(),
                      delta > 0 ? sim::TraceKind::kSwapDown : sim::TraceKind::kSwapUp, n,
                      before, static_cast<std::int64_t>(before) + delta);
     }
-    delivered[n] = batch_ ? airs_[n].finish() : links_[n]->finish();
+    delivered[n] = airs_[n].finish();
   }
   // Decentralized decisions must still compose into a permutation; this is
   // the protocol's core consistency invariant. It only holds when every
-  // device can carrier-sense every other: hidden terminals may observe
-  // asymmetric freeze records and commit one-sided swaps.
+  // device can carrier-sense every other (the shared-clock case): hidden
+  // terminals may observe asymmetric freeze records and commit one-sided
+  // swaps.
   if constexpr (kChecksEnabled) {
-    if (sensing_complete_) kernel_.validate_permutation();
+    if (batch_backoff_ != nullptr) kernel_.validate_permutation();
   }
 }
 

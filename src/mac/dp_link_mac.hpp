@@ -10,17 +10,17 @@
 // can always be confirmed on the air; confirmed or not, the whole interval
 // carries no collisions because backoff counts are unique.
 //
-// The per-interval protocol math lives in DpBatchKernel (mac/dp_batch_kernel
-// .hpp) as flat SoA passes shared by two execution paths:
-//   * batch (default under complete sensing): one shared backoff clock
-//     (DpBatchBackoff) drives all links' DpLinkAir transmission machines —
-//     the allocation-free hot path;
-//   * scalar reference (partial sensing, or force_scalar_path): one
-//     DpLinkMac per link, each with its own BackoffEngine listening on its
-//     own sense view — the faithful per-device state machine the batch path
-//     is tested bit-identical against.
-// DpScheme wires either path to the shared Medium and implements the
-// MacScheme contract.
+// One layout: the per-interval protocol math lives in DpBatchKernel
+// (mac/dp_batch_kernel.hpp) as flat SoA passes, and every link's
+// transmission half is a DpLinkAir in one flat array. Only the backoff clock
+// depends on the cell's sense views:
+//   * complete sensing: one shared clock (DpBatchBackoff) for the domain,
+//     and the Medium's burst fast path — the allocation-free hot path;
+//   * otherwise (hidden terminals): one BackoffEngine per link, listening on
+//     the link's own sense view and labelled with its global id in traces
+//     and freeze metrics.
+// DpScheme wires the kernel, the clock and the air machines to the shared
+// Medium and implements the MacScheme contract.
 #pragma once
 
 #include <cstdint>
@@ -57,26 +57,19 @@ struct DpLinkParams {
   /// larger worst-case backoff (up to ~N + 2*pairs slots) for faster
   /// convergence of the priority chain.
   int max_swap_pairs = 1;
-  /// Debug/testing: run the per-link scalar reference path even where the
-  /// batch path applies (complete sensing). The equivalence tests assert
-  /// both paths produce bit-identical results.
-  bool force_scalar_path = false;
 };
 
 /// The transmission half of one DP link: buffer, gap rule (Remark 4),
 /// priority-claim empties, retransmit-until-deadline. Driven by a backoff
 /// clock (shared or per-link) through on_slot_won(); knows nothing about
-/// priorities or coins.
+/// priorities or coins. Whenever the Medium offers a burst (complete sensing,
+/// idle channel) the whole back-to-back chain resolves synchronously.
 class DpLinkAir {
  public:
   /// `estimator`, when non-null, receives the outcome of every clean data
   /// transmission this link makes (the "learning p_n" mode of Section II-A).
-  /// `allow_burst` opts this machine into the Medium burst fast path (one
-  /// event per back-to-back chain instead of one per packet); only the batch
-  /// execution path enables it, so the scalar reference path keeps the
-  /// per-event machinery the burst is tested bit-identical against.
   DpLinkAir(sim::Simulator& simulator, phy::Medium& medium, const DpLinkParams& params,
-            LinkId id, ReliabilityEstimator* estimator, bool allow_burst = false);
+            LinkId id, ReliabilityEstimator* estimator);
 
   /// Resets per-interval state. `is_candidate` enables the Step 2 empty
   /// priority-claim behaviour for this interval.
@@ -110,7 +103,6 @@ class DpLinkAir {
   DpLinkParams params_;
   LinkId id_;
   ReliabilityEstimator* estimator_;  ///< optional, not owned
-  bool allow_burst_ = false;
 
   // Per-interval state.
   TimePoint interval_end_;
@@ -122,42 +114,7 @@ class DpLinkAir {
   bool first_tx_started_ = false;  ///< the at-expiry claim actually aired
 };
 
-/// Scalar reference path: one link's air machine plus its own BackoffEngine
-/// (listening on the link's own sense view, so it also models partial
-/// sensing / hidden terminals). The priority math stays in DpBatchKernel.
-class DpLinkMac {
- public:
-  /// `id` indexes the Medium (cell-local under sharding); `trace_link` is
-  /// the label used for traces and freeze metrics and defaults to `id` — a
-  /// shard cell passes the link's global id so merged metrics line up with
-  /// the unsharded run.
-  DpLinkMac(sim::Simulator& simulator, phy::Medium& medium, const DpLinkParams& params,
-            LinkId id, ReliabilityEstimator* estimator = nullptr,
-            LinkId trace_link = kSameAsId);
-
-  /// Sentinel for `trace_link`: use `id`.
-  static constexpr LinkId kSameAsId = static_cast<LinkId>(-1);
-
-  DpLinkMac(const DpLinkMac&) = delete;
-  DpLinkMac& operator=(const DpLinkMac&) = delete;
-
-  /// Arms the engine for interval k with the kernel-computed window.
-  void begin_interval(int arrivals, TimePoint interval_end, bool is_candidate,
-                      int backoff_count);
-
-  void stop_backoff() { backoff_.stop(); }
-  [[nodiscard]] bool frozen_at_one() const { return backoff_.was_frozen_at(1); }
-  /// Upper-candidate swap evidence: countdown expired AND the claim aired.
-  [[nodiscard]] bool claim_aired() const { return backoff_.expired() && air_.aired(); }
-  int finish() { return air_.finish(); }
-  [[nodiscard]] const DpLinkAir& air() const { return air_; }
-
- private:
-  DpLinkAir air_;
-  BackoffEngine backoff_;
-};
-
-/// MacScheme gluing the kernel, the backoff clock(s), and N air machines
+/// MacScheme gluing the kernel, the backoff clock, and N air machines
 /// together. The per-link pieces never talk to each other; the scheme only
 /// fans out interval boundaries (which in a real deployment come from the
 /// devices' own synchronized clocks) and aggregates statistics.
@@ -188,11 +145,11 @@ class DpScheme final : public MacScheme {
   /// windows straight from the arrays).
   [[nodiscard]] const DpBatchKernel& kernel() const { return kernel_; }
 
-  /// True when this scheme runs the shared-clock batch path.
-  [[nodiscard]] bool batch_path() const { return batch_; }
+  /// True when one shared clock drives every countdown (complete sensing).
+  [[nodiscard]] bool batch_path() const { return batch_backoff_ != nullptr; }
 
   [[nodiscard]] std::size_t pending_events_per_link() const override {
-    return batch_ ? 1 : 6;
+    return batch_path() ? 1 : 6;
   }
 
  private:
@@ -204,19 +161,15 @@ class DpScheme final : public MacScheme {
   std::unique_ptr<PriorityProvider> provider_;
   DpBatchKernel kernel_;
   std::string name_;
-  /// Swap decisions compose into a permutation only when every device hears
-  /// every transmission; under partial sensing the consistency invariant is
-  /// expected to break (hidden terminals), so the debug check is gated.
-  bool sensing_complete_ = true;
-  bool batch_ = true;
-
-  // Batch path: shared clock + flat air machines.
   std::vector<DpLinkAir> airs_;
-  std::unique_ptr<DpBatchBackoff> batch_backoff_;
-  std::vector<std::uint8_t> armed_scratch_;
+  std::vector<std::uint8_t> armed_scratch_;  ///< shared clock's armed mask
 
-  // Scalar reference path: per-link engines on per-node sense views.
-  std::vector<std::unique_ptr<DpLinkMac>> links_;
+  // Exactly one clock: the shared one (complete sensing), or one engine per
+  // link on its own sense view.
+  std::unique_ptr<DpBatchBackoff> batch_backoff_;
+  // Built in link order (their listener order); each registered `this` with
+  // the Medium, so they live behind pointers and never move.
+  std::vector<std::unique_ptr<BackoffEngine>> engines_;
 };
 
 }  // namespace rtmac::mac

@@ -44,62 +44,15 @@ struct FcsmaParams {
   std::vector<int> window_sizes = {128, 96, 64, 48, 32};
   /// Width of one section in weight units: section = floor(w / width).
   double section_width = 1.0;
-  /// Forces the per-link BackoffEngine path even on complete-sensing
-  /// topologies (equivalence tests; the batch path must be bit-identical).
-  bool force_scalar_path = false;
 };
 
-/// Per-link FCSMA state machine (contend, transmit one packet, redraw).
-class FcsmaLinkMac {
- public:
-  /// `id` indexes the Medium/debts/p (cell-local under sharding);
-  /// `stream_link` keys the backoff RNG stream and defaults to `id` — a
-  /// shard cell passes the link's global id so the draw sequence matches
-  /// the unsharded run.
-  FcsmaLinkMac(sim::Simulator& simulator, phy::Medium& medium, const core::DebtTracker& debts,
-               const ProbabilityVector& p, const FcsmaParams& params, Duration data_airtime,
-               Duration slot, LinkId id, std::uint64_t seed, LinkId stream_link = kSameAsId);
-
-  /// Sentinel for `stream_link`: use `id`.
-  static constexpr LinkId kSameAsId = static_cast<LinkId>(-1);
-
-  FcsmaLinkMac(const FcsmaLinkMac&) = delete;
-  FcsmaLinkMac& operator=(const FcsmaLinkMac&) = delete;
-
-  void begin_interval(IntervalIndex k, int arrivals, TimePoint interval_end);
-  int end_interval();
-
-  [[nodiscard]] LinkId id() const { return id_; }
-  /// Contention window selected for the current interval (diagnostics).
-  [[nodiscard]] int current_window() const { return window_; }
-
- private:
-  void contend();
-  void on_backoff_expired();
-  void on_tx_done(phy::TxOutcome outcome);
-
-  sim::Simulator& sim_;
-  phy::Medium& medium_;
-  const core::DebtTracker& debts_;
-  const ProbabilityVector& p_;
-  const FcsmaParams& params_;
-  Duration data_airtime_;
-  LinkId id_;
-  Rng rng_;
-
-  TimePoint interval_end_;
-  int buffer_ = 0;
-  int delivered_ = 0;
-  int window_ = 1;
-  BackoffEngine backoff_;
-};
-
-/// MacScheme gluing N FCSMA links together. On complete-sensing domains the
-/// default is the batch layout — SoA per-link state plus one
-/// SharedBackoffClock for the whole domain — which is draw-for-draw
-/// identical to the per-link machines (same RNG streams, same order);
-/// partial-sensing topologies and force_scalar_path keep the scalar
-/// machines.
+/// MacScheme running N FCSMA links (contend, transmit one packet, redraw).
+///
+/// One layout: flat SoA per-link state (RNG stream, window, buffer). Only
+/// the backoff clock depends on the cell's sense views: one
+/// SharedBackoffClock for a complete-sensing domain, otherwise one
+/// BackoffEngine per link on its own sense view (hidden terminals). Both
+/// clocks consume the same per-link RNG streams in the same order.
 class FcsmaScheme final : public MacScheme {
  public:
   FcsmaScheme(const SchemeContext& ctx, FcsmaParams params, std::string name);
@@ -113,26 +66,32 @@ class FcsmaScheme final : public MacScheme {
     return clock_ != nullptr ? 1 : 6;
   }
 
-  /// True when this instance runs the shared-clock batch path.
+  /// True when one shared clock drives every countdown (complete sensing).
   [[nodiscard]] bool batch_path() const { return clock_ != nullptr; }
+
+  /// Contention window link n selected for the current interval
+  /// (diagnostics).
+  [[nodiscard]] int current_window(LinkId n) const { return window_[n]; }
 
  private:
   void contend(LinkId n);
   void on_backoff_expired(LinkId n);
   void on_tx_done(LinkId n, phy::TxOutcome outcome);
 
-  FcsmaParams params_;  // must precede links_: links reference it
+  FcsmaParams params_;
   sim::Simulator& sim_;
   phy::Medium& medium_;
   const core::DebtTracker& debts_;
   const ProbabilityVector& p_;
   Duration data_airtime_;
 
-  // Scalar layout.
-  std::vector<std::unique_ptr<FcsmaLinkMac>> links_;
-
-  // Batch layout (SoA, indexed by local link id).
+  // Exactly one clock: the shared one, or one engine per link.
   std::unique_ptr<SharedBackoffClock> clock_;
+  // Built in link order (their listener order); each registered `this` with
+  // the Medium, so they live behind pointers and never move.
+  std::vector<std::unique_ptr<BackoffEngine>> engines_;
+
+  // Per-link state (SoA, indexed by local link id).
   std::vector<Rng> rng_;
   std::vector<int> window_;
   std::vector<int> buffer_;

@@ -19,7 +19,6 @@
 #include "phy/medium.hpp"
 #include "phy/phy_params.hpp"
 #include "sim/simulator.hpp"
-#include "util/arena.hpp"
 
 namespace rtmac::mac {
 
@@ -52,7 +51,7 @@ class MacScheme {
   /// false. The sharded Network refuses non-shardable schemes up front.
   [[nodiscard]] virtual bool shardable() const { return true; }
 
-  /// Bytes of long-lived per-link state this scheme holds (heap or arena),
+  /// Bytes of long-lived per-link state this scheme holds,
   /// feeding the mem.mac gauge. Schemes with meaningful per-link footprints
   /// override; the default 0 keeps small fixed-size schemes honest enough.
   [[nodiscard]] virtual std::size_t memory_bytes() const { return 0; }
@@ -89,9 +88,6 @@ struct SchemeContext {
   // partition.
   std::span<const LinkId> link_ids{};      ///< local -> global map; empty = identity
   std::size_t global_num_links = 0;        ///< network-wide N; 0 = num_links
-  /// Optional arena for cold per-link scheme state (shared across cells by
-  /// the sharded Network). Null = scheme allocates from the heap as before.
-  util::Arena* arena = nullptr;
 
   /// Global id of local link n.
   [[nodiscard]] LinkId global_id(LinkId n) const {

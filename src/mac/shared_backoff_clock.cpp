@@ -67,7 +67,7 @@ void SharedBackoffClock::arm(LinkId n, int count) {
   if (sim::Tracer* tracer = medium_.tracer(); tracer != nullptr) {
     tracer->record(sim_.now(), sim::TraceKind::kBackoffArmed, sim::kNoLink, count);
   }
-  // The scalar engine checks carrier-sense, not our freeze flag: a link
+  // A per-link engine checks carrier-sense, not our freeze flag: a link
   // arming at the LAST completion of a busy period senses idle (the Medium
   // runs outcome callbacks before the idle notification) and schedules its
   // expiry event immediately — giving it a sequence number BEFORE the frozen
@@ -126,7 +126,7 @@ void SharedBackoffClock::fire() {
   if (!heap_.empty() && heap_.front().deadline == top.deadline) {
     // Another countdown is due at this same instant — a collision in the
     // making. Its event must sit IN the simulator queue before the handler
-    // runs: the scalar engines keep same-instant events pending (their
+    // runs: per-link engines keep same-instant events pending (their
     // count_after <= 0 rule skips the freeze), and the Medium's burst fast
     // path reads the queue (no_event_before) to decide whether it may
     // resolve a transmission synchronously. Hiding the tie inside this heap
@@ -149,7 +149,7 @@ void SharedBackoffClock::on_medium_busy(TimePoint t) {
   const auto k = (t - resume_time_).floor_div(slot_);
   // Transmissions start at expiry instants, which sit a whole number of
   // slots past the shared resume — the 802.11 partial-slot discard the
-  // scalar engines apply here never has anything to discard.
+  // per-link engines apply here never has anything to discard.
   RTMAC_ASSERT(resume_time_ + static_cast<int>(k) * slot_ == t,
                "busy edge off the shared slot grid");
   frozen_ = true;
@@ -159,14 +159,14 @@ void SharedBackoffClock::on_medium_busy(TimePoint t) {
   // Park the domain event at the far-future sentinel — but ONLY when it is
   // strictly in the future. An event due at this very instant is a countdown
   // that reached zero in the same slot as the transmission now starting; the
-  // scalar engines let it fire into the collision, and so do we.
+  // per-link engines let it fire into the collision, and so do we.
   if (expiry_event_.valid() && event_wall_ > t) {
     sim_.reschedule(expiry_event_, sim::Simulator::no_run_limit());
   }
   if (sim::Tracer* tracer = medium_.tracer(); tracer != nullptr) {
-    // Per-engine emulation in link order (the order the scalar engines
+    // Per-engine emulation in link order (the order per-link engines
     // registered as listeners). Countdowns due at this instant are skipped,
-    // exactly as the scalar count_after <= 0 rule skips the freeze.
+    // exactly as the per-link count_after <= 0 rule skips the freeze.
     trace_scratch_.clear();
     for (const Entry& e : heap_) {
       if (e.deadline > elapsed_frozen_) {
@@ -204,7 +204,7 @@ void SharedBackoffClock::on_medium_idle(TimePoint t) {
 }
 
 void SharedBackoffClock::resequence() {
-  // Replay the scalar engines' event-queue sequence numbers at a resume:
+  // Replay per-link engines' event-queue sequence numbers at a resume:
   // links that armed live at this instant already hold their events (issued
   // in the outcome callbacks, in arm order), then the idle sweep reschedules
   // every frozen engine in listener = link order. Ties between expiries are
@@ -226,7 +226,7 @@ void SharedBackoffClock::resequence() {
 
 void SharedBackoffClock::account_freezes(TimePoint resume_at) {
   // Handles are cached across events and re-resolved only when the Medium's
-  // registry changes (parity with BackoffEngine::account_freeze; the scalar
+  // registry changes (parity with BackoffEngine::account_freeze; the per-link
   // DCF/FCSMA engines carry no trace label, so they all share one counter).
   if (obs::MetricsRegistry* m = medium_.metrics(); m != metrics_seen_) {
     metrics_seen_ = m;
@@ -243,7 +243,7 @@ void SharedBackoffClock::account_freezes(TimePoint resume_at) {
     if (e.live && e.arm_epoch == busy_epoch_) continue;  // armed idle; never froze
     // A countdown armed DURING the busy period (a non-final completion's
     // outcome callback) has been frozen since its arm instant, not since the
-    // busy edge; the scalar engine accounts the same span.
+    // busy edge; a per-link engine accounts the same span.
     const TimePoint since = e.arm_time > freeze_time_ ? e.arm_time : freeze_time_;
     const Duration frozen_for = resume_at - since;
     freeze_hist_->observe(frozen_for.us_f());

@@ -6,7 +6,7 @@
 // but it leans on a DP-only invariant (windows are unique per interval, so
 // expiries never tie). DCF and FCSMA draw windows at random and DO tie —
 // that is exactly how their collisions happen — and they re-arm mid-interval
-// after every transmission. This clock handles both, reproducing the scalar
+// after every transmission. This clock handles both, reproducing per-link
 // engines' behaviour bit for bit:
 //
 //   * Under complete sensing every countdown freezes and resumes at the same
@@ -22,11 +22,11 @@
 //     visiting N listeners; an idle edge re-arms it (one reschedule).
 //   * Tie order is result-affecting (complete domains draw channel losses
 //     from one shared stream in completion order), so `seq` replays the
-//     scalar engines' event-queue sequence numbers exactly: a link arming
+//     per-link engines' event-queue sequence numbers exactly: a link arming
 //     while the medium is idle gets a fresh seq immediately, and every idle
 //     edge re-issues seqs to the frozen countdowns in link order — the order
-//     the scalar engines registered as listeners and were resumed in.
-//   * Countdowns due exactly at a busy edge must still fire (the scalar
+//     per-link engines registered as listeners and were resumed in.
+//   * Countdowns due exactly at a busy edge must still fire (the per-link
 //     engines' count_after <= 0 rule: both stations counted down to zero in
 //     the same slot and will collide), so fire() keeps a same-instant tie
 //     visible in the simulator queue before running the expiry handler, and
@@ -35,7 +35,7 @@
 //
 // Tracer and metrics emulation mirror DpBatchBackoff: per-link freeze/resume
 // records in link order, and the same shared "mac.freeze_ns" counter and
-// freeze histogram the label-less scalar engines feed.
+// freeze histogram the label-less per-link engines feed.
 //
 // Registers itself as a global-view Medium listener at construction; must
 // outlive the run (same contract as BackoffEngine).
@@ -70,7 +70,7 @@ class SharedBackoffClock final : public phy::MediumListener {
   /// finish_arming() closes it.
   void begin_interval(TimePoint now);
 
-  /// Starts a countdown of `count` slots for link n (one scalar
+  /// Starts a countdown of `count` slots for link n (one per-link
   /// BackoffEngine::start). Legal at the current resume instant or while the
   /// medium is busy — the only places the CSMA schemes arm. Does not touch
   /// the simulator event until finish_arming() (inside begin_interval's arm
@@ -80,8 +80,9 @@ class SharedBackoffClock final : public phy::MediumListener {
   /// Schedules the domain expiry event after begin_interval's arm loop.
   void finish_arming();
 
-  /// Disarms everything at the interval boundary (scalar: stop() on every
-  /// engine, in link order — freeze accounting is closed the same way).
+  /// Disarms everything at the interval boundary (per-link engines: stop()
+  /// on every engine, in link order — freeze accounting is closed the same
+  /// way).
   void stop();
 
   [[nodiscard]] std::size_t armed() const { return heap_.size(); }
@@ -100,7 +101,7 @@ class SharedBackoffClock final : public phy::MediumListener {
 
  private:
   /// One armed countdown. `deadline` is on the shared elapsed-slot axis;
-  /// `seq` replays the scalar engine's event-queue sequence number;
+  /// `seq` replays a per-link engine's event-queue sequence number;
   /// `arm_epoch`/`live`/`arm_time` classify the entry at the next idle edge
   /// (armed since the busy edge began / armed while the medium sensed idle /
   /// when — frozen arms account their freeze from the arm instant).
@@ -145,7 +146,7 @@ class SharedBackoffClock final : public phy::MediumListener {
   TimePoint event_wall_;  ///< wall time expiry_event_ is scheduled at (while valid)
 
   // Cached metric handles, re-resolved when the Medium's registry changes
-  // (parity with the scalar engines' shared-label freeze accounting).
+  // (parity with per-link engines' shared-label freeze accounting).
   obs::MetricsRegistry* metrics_seen_ = nullptr;
   obs::Histogram* freeze_hist_ = nullptr;
   obs::Counter* freeze_ns_ = nullptr;

@@ -370,7 +370,6 @@ void Network::build_cells(const mac::SchemeFactory& scheme_factory) {
                            config_.seed,
                            std::span<const LinkId>{cell->links},
                            n};
-    ctx.arena = &arena_;
     cell->scheme = scheme_factory(ctx);
     RTMAC_REQUIRE(cell->scheme != nullptr);
     if (num_cells > 1 && !cell->scheme->shardable()) {

@@ -2,10 +2,13 @@
 
 #include <cmath>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
+#include <vector>
 
 #include "net/network.hpp"
 
+#include "expfw/bench_cli.hpp"
 #include "expfw/report.hpp"
 #include "expfw/runner.hpp"
 #include "expfw/scenarios.hpp"
@@ -132,6 +135,37 @@ TEST(ReportTest, CsvWriterWritesFile) {
   EXPECT_EQ(line, "x,A");
   std::getline(in, line);
   EXPECT_EQ(line, "0.5,7");
+}
+
+/// Parses `argv` as a bench binary would (default 100 intervals, smoke 10).
+void parse_bench(std::initializer_list<const char*> argv) {
+  const std::vector<const char*> args(argv);
+  (void)parse_bench_args(static_cast<int>(args.size()), args.data(), 100, 10);
+}
+
+TEST(BenchCliTest, NegativeIntervalsExit2) {
+  // Unchecked, -5 wraps to ~1.8e19 intervals and the bench never exits.
+  EXPECT_EXIT(parse_bench({"bench", "--intervals", "-5"}), ::testing::ExitedWithCode(2),
+              "--intervals must be >= 0");
+  EXPECT_EXIT(parse_bench({"bench", "-5"}), ::testing::ExitedWithCode(2),
+              "--intervals must be >= 0");
+}
+
+TEST(BenchCliTest, ZeroRepsExit2) {
+  EXPECT_EXIT(parse_bench({"bench", "--reps", "0"}), ::testing::ExitedWithCode(2),
+              "--reps must be >= 1");
+}
+
+TEST(BenchCliTest, ZeroStreamEveryExit2) {
+  EXPECT_EXIT(parse_bench({"bench", "--stream-every", "0"}), ::testing::ExitedWithCode(2),
+              "--stream-every must be >= 1");
+}
+
+TEST(BenchCliTest, ValidIntervalsParse) {
+  const std::vector<const char*> args{"bench", "--intervals", "0", "--reps", "2"};
+  const BenchArgs parsed = parse_bench_args(static_cast<int>(args.size()), args.data(), 100, 10);
+  EXPECT_EQ(parsed.intervals, 0U);
+  EXPECT_EQ(parsed.sweep.reps, 2U);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "helpers/scheme_harness.hpp"
@@ -27,23 +28,39 @@ TEST(DcfTest, SingleLinkDelivers) {
 TEST(DcfTest, WindowDoublesOnFailureAndResetsOnSuccess) {
   SchemeHarness h{{1.0, 1.0}, phy::PhyParams::video_80211a(), Duration::milliseconds(20),
                   {0.9, 0.9}};
-  const auto ctx = h.context();
   DcfParams params;
   params.cw_min = 2;  // force frequent collisions
   params.cw_max = 64;
-  DcfLinkMac a{h.simulator(), h.medium(), params, ctx.phy.data_airtime, ctx.phy.backoff_slot,
-               0, 7};
-  DcfLinkMac b{h.simulator(), h.medium(), params, ctx.phy.data_airtime, ctx.phy.backoff_slot,
-               1, 8};
-  a.begin_interval(0, 10, h.simulator().now() + Duration::milliseconds(20));
-  b.begin_interval(0, 10, h.simulator().now() + Duration::milliseconds(20));
-  h.simulator().run_until(h.simulator().now() + Duration::milliseconds(20));
-  const int da = a.end_interval();
-  const int db = b.end_interval();
-  // With CWmin=2 and two saturated links, some collisions are certain; the
-  // exponential backoff must still let most packets through eventually.
+  DcfScheme dcf{h.context(), params, "DCF"};
+  // Two saturated links with CWmin=2: some collisions are certain. A link's
+  // window doubles on every failure and drops back to CWmin on every
+  // success, so sampled through the interval it always sits on the ladder
+  // {2, 4, ..., 64}, climbs above CWmin and falls back to it.
+  const TimePoint end = h.simulator().now() + Duration::milliseconds(20);
+  const std::vector<int> arrivals{10, 10};
+  dcf.begin_interval(0, arrivals, end);
+  int widest = 0;
+  bool reset = false;
+  std::vector<int> last{params.cw_min, params.cw_min};
+  while (h.simulator().now() < end) {
+    h.simulator().run_until(h.simulator().now() + Duration::microseconds(50));
+    for (LinkId n = 0; n < 2; ++n) {
+      const int cw = dcf.current_window(n);
+      EXPECT_GE(cw, params.cw_min);
+      EXPECT_LE(cw, params.cw_max);
+      EXPECT_EQ(cw & (cw - 1), 0) << "window off the doubling ladder: " << cw;
+      widest = std::max(widest, cw);
+      reset = reset || (last[n] > params.cw_min && cw == params.cw_min);
+      last[n] = cw;
+    }
+  }
+  std::vector<int> delivered(2, 0);
+  dcf.end_interval(delivered);
   EXPECT_GT(h.medium().counters().collisions, 0u);
-  EXPECT_GT(da + db, 0);
+  EXPECT_GT(widest, params.cw_min) << "no failure ever doubled a window";
+  EXPECT_TRUE(reset) << "no success ever reset a doubled window";
+  // The exponential backoff must still let most packets through eventually.
+  EXPECT_GT(delivered[0] + delivered[1], 0);
 }
 
 TEST(DcfTest, SaturatedNetworkLosesCapacityToCollisions) {
@@ -61,11 +78,9 @@ TEST(DcfTest, SaturatedNetworkLosesCapacityToCollisions) {
 
 TEST(DcfTest, CurrentWindowStartsAtMin) {
   SchemeHarness h{{1.0}, phy::PhyParams::video_80211a(), Duration::milliseconds(20), {0.9}};
-  const auto ctx = h.context();
   DcfParams params;
-  DcfLinkMac link{h.simulator(), h.medium(), params, ctx.phy.data_airtime,
-                  ctx.phy.backoff_slot, 0, 7};
-  EXPECT_EQ(link.current_window(), params.cw_min);
+  DcfScheme dcf{h.context(), params, "DCF"};
+  EXPECT_EQ(dcf.current_window(0), params.cw_min);
 }
 
 }  // namespace

@@ -1,13 +1,11 @@
-// Equivalence and regression tests for the batch SoA DP path.
+// Kernel and regression tests for the SoA DP layout.
 //
-// Three layers of defence keep the batch kernel honest:
 //   1. kernel math vs the per-link formulas (dp_backoff_count & friends);
-//   2. whole-network runs: batch path vs the retained scalar reference path
-//      must be BIT-IDENTICAL — same deliveries every interval, same debts,
-//      same priorities, same channel counters — across randomized seeds,
-//      network sizes, reliabilities, and multi-pair configurations;
+//   2. clock selection: only complete sensing gets the shared clock (the
+//      whole-network behaviour of both clocks is pinned by the recorded
+//      digests in mac_digest_test.cpp);
 //   3. allocation regression: the steady-state interval hot path of the
-//      batch DP scheme (and of centralized LDF) performs zero heap
+//      shared-clock DP scheme (and of centralized LDF) performs zero heap
 //      allocations, counted with interposed global new/delete.
 #include "mac/dp_batch_kernel.hpp"
 
@@ -18,17 +16,13 @@
 #include <memory>
 #include <new>
 #include <set>
-#include <string>
 #include <vector>
 
-#include "core/debt.hpp"
-#include "core/mu.hpp"
 #include "expfw/scenarios.hpp"
+#include "helpers/ring_topology.hpp"
 #include "mac/dp_link_mac.hpp"
 #include "mac/priority_provider.hpp"
 #include "net/network.hpp"
-#include "phy/interference.hpp"
-#include "phy/phy_params.hpp"
 
 // ---- allocation counting ----------------------------------------------------
 // Interposed global new/delete: counts every heap allocation made by this
@@ -118,113 +112,15 @@ TEST(DpBatchKernelTest, MultiPairWindowsStayUnique) {
   }
 }
 
-// ---- 2. batch path vs scalar reference, whole-network runs ------------------
-
-/// Everything observable about one run that equivalence compares.
-struct RunRecord {
-  std::vector<std::vector<int>> delivered;  ///< per interval, per link
-  std::vector<double> final_debts;
-  std::vector<PriorityIndex> final_priorities;
-  phy::MediumCounters counters;
-  bool batch_path = false;
-};
-
-mac::SchemeFactory dbdp_path_factory(bool force_scalar, int max_swap_pairs = 1) {
-  return [force_scalar, max_swap_pairs](const mac::SchemeContext& ctx) {
-    auto provider = std::make_unique<mac::DebtMuProvider>(
-        core::DebtMu{expfw::paper_influence(), expfw::kPaperR}, ctx.debts,
-        ctx.success_prob);
-    const mac::DpLinkParams params{
-        .data_airtime = ctx.phy.data_airtime,
-        .empty_airtime = ctx.phy.empty_airtime,
-        .backoff_slot = ctx.phy.backoff_slot,
-        .reordering = true,
-        .max_swap_pairs = max_swap_pairs,
-        .force_scalar_path = force_scalar,
-    };
-    return std::make_unique<mac::DpScheme>(ctx, std::move(provider), params,
-                                           force_scalar ? "DB-DP(scalar)" : "DB-DP");
-  };
-}
-
-RunRecord run_dbdp(const net::NetworkConfig& base, bool force_scalar,
-                   IntervalIndex intervals, int max_swap_pairs = 1) {
-  net::Network net{base.clone(), dbdp_path_factory(force_scalar, max_swap_pairs)};
-  RunRecord rec;
-  net.add_observer([&rec](IntervalIndex, std::span<const int>, std::span<const int> s) {
-    rec.delivered.emplace_back(s.begin(), s.end());
-  });
-  net.run(intervals);
-  rec.final_debts = net.debts().debts();
-  const auto* dp = dynamic_cast<const DpScheme*>(&net.scheme());
-  EXPECT_NE(dp, nullptr);
-  rec.final_priorities = dp->priority_vector();
-  rec.batch_path = dp->batch_path();
-  rec.counters = net.medium().counters();
-  return rec;
-}
-
-void expect_identical(const RunRecord& batch, const RunRecord& scalar) {
-  EXPECT_TRUE(batch.batch_path);
-  EXPECT_FALSE(scalar.batch_path);
-  ASSERT_EQ(batch.delivered.size(), scalar.delivered.size());
-  for (std::size_t k = 0; k < batch.delivered.size(); ++k) {
-    ASSERT_EQ(batch.delivered[k], scalar.delivered[k]) << "diverged at interval " << k;
-  }
-  EXPECT_EQ(batch.final_debts, scalar.final_debts);
-  EXPECT_EQ(batch.final_priorities, scalar.final_priorities);
-  EXPECT_EQ(batch.counters.data_tx, scalar.counters.data_tx);
-  EXPECT_EQ(batch.counters.empty_tx, scalar.counters.empty_tx);
-  EXPECT_EQ(batch.counters.delivered, scalar.counters.delivered);
-  EXPECT_EQ(batch.counters.channel_losses, scalar.counters.channel_losses);
-  EXPECT_EQ(batch.counters.collisions, 0u);
-  EXPECT_EQ(scalar.counters.collisions, 0u);
-  EXPECT_EQ(batch.counters.busy_time, scalar.counters.busy_time);
-}
-
-TEST(DpBatchEquivalenceTest, VideoScenarioAcrossSeeds) {
-  for (const std::uint64_t seed : {1ULL, 7ULL, 1234ULL}) {
-    const auto cfg = expfw::video_symmetric(0.55, 0.9, seed);
-    const RunRecord batch = run_dbdp(cfg, /*force_scalar=*/false, 120);
-    const RunRecord scalar = run_dbdp(cfg, /*force_scalar=*/true, 120);
-    expect_identical(batch, scalar);
-    EXPECT_GT(batch.counters.data_tx, 0u);
-  }
-}
-
-TEST(DpBatchEquivalenceTest, SmallLossyNetwork) {
-  // Different shape: 6 links, heavy loss, tighter requirement — exercises
-  // retransmission bursts and empty claims far more often per interval.
-  const auto cfg = expfw::video_symmetric(0.55, 0.9, 99);
-  net::NetworkConfig small = cfg.clone();
-  small.success_prob = ProbabilityVector(6, 0.6);
-  // Arrivals stay on the shared uniform spec, which covers any link count.
-  small.requirements.lambda.resize(6);
-  small.requirements.rho.assign(6, 0.8);
-  const RunRecord batch = run_dbdp(small, /*force_scalar=*/false, 150);
-  const RunRecord scalar = run_dbdp(small, /*force_scalar=*/true, 150);
-  expect_identical(batch, scalar);
-  EXPECT_GT(batch.counters.channel_losses, 0u);
-}
-
-TEST(DpBatchEquivalenceTest, MultiPairSwaps) {
-  const auto cfg = expfw::video_symmetric(0.55, 0.9, 21);
-  const RunRecord batch = run_dbdp(cfg, /*force_scalar=*/false, 80, /*max_swap_pairs=*/3);
-  const RunRecord scalar = run_dbdp(cfg, /*force_scalar=*/true, 80, /*max_swap_pairs=*/3);
-  expect_identical(batch, scalar);
-}
+// ---- 2. clock selection -----------------------------------------------------
+// Bit-identity of the shared clock with per-link engines is pinned by the
+// recorded digests in mac_digest_test.cpp.
 
 TEST(DpBatchEquivalenceTest, PartialSensingFallsBackToScalar) {
-  // A ring interference graph is not a complete collision domain: the batch
-  // path must refuse it and both "paths" run the per-link engines.
-  net::NetworkConfig cfg = expfw::video_symmetric(0.55, 0.9, 3);
-  const std::size_t n = cfg.num_links();
-  std::vector<std::vector<LinkId>> ring(n);
-  for (LinkId i = 0; i < n; ++i) {
-    ring[i] = {static_cast<LinkId>((i + 1) % n), static_cast<LinkId>((i + n - 1) % n)};
-  }
-  cfg.topology = phy::InterferenceGraph::from_lists(n, ring, ring);
-  net::Network net{std::move(cfg), dbdp_path_factory(/*force_scalar=*/false)};
+  // A ring interference graph is not a complete collision domain: the shared
+  // clock must refuse it and every link counts down on its own engine.
+  net::Network net{test::with_ring(expfw::video_symmetric(0.55, 0.9, 3)),
+                   expfw::dbdp_factory()};
   net.run(20);
   const auto* dp = dynamic_cast<const DpScheme*>(&net.scheme());
   ASSERT_NE(dp, nullptr);

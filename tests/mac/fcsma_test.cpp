@@ -105,23 +105,17 @@ TEST(FcsmaSchemeTest, RespectsDeadlineGapRule) {
 
 TEST(FcsmaSchemeTest, WindowReactsToDebt) {
   SchemeHarness h{{0.7}, phy::PhyParams::video_80211a(), Duration::milliseconds(20), {0.9}};
-  const auto ctx = h.context();
   FcsmaParams params;
   params.influence = core::Influence::identity();
   params.section_width = 1.0;
-  FcsmaLinkMac link{h.simulator(), h.medium(), h.debts(), ctx.success_prob, params,
-                    ctx.phy.data_airtime, ctx.phy.backoff_slot, 0, 42};
+  FcsmaScheme fcsma{h.context(), params, "FCSMA"};
   // Zero debt: weight 0 -> largest window.
-  link.begin_interval(0, 1, h.simulator().now() + Duration::milliseconds(20));
-  EXPECT_EQ(link.current_window(), 128);
-  h.simulator().run();
-  link.end_interval();
+  h.run_interval(fcsma, {1});
+  EXPECT_EQ(fcsma.current_window(0), 128);
   // Large debt: weight saturates -> smallest window.
   for (int i = 0; i < 12; ++i) h.debts().on_interval_end({0});
-  link.begin_interval(1, 1, h.simulator().now() + Duration::milliseconds(20));
-  EXPECT_EQ(link.current_window(), 32);
-  h.simulator().run();
-  link.end_interval();
+  h.run_interval(fcsma, {1});
+  EXPECT_EQ(fcsma.current_window(0), 32);
 }
 
 }  // namespace
