@@ -37,17 +37,21 @@
 
 // ---- counting allocator hook ------------------------------------------------
 // Global operator new/delete replacements that count every heap allocation in
-// the process. Benchmarks snapshot the counter around a measured window; the
-// difference is reported as a benchmark counter ("allocs") that CI gates on.
+// the process, and their requested bytes. Benchmarks snapshot the counters
+// around a measured window; the difference is reported as a benchmark counter
+// ("allocs") that CI gates on.
 // Atomic because google-benchmark may touch the heap from helper threads.
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
 
 std::uint64_t alloc_count() { return g_alloc_count.load(std::memory_order_relaxed); }
+std::uint64_t alloc_bytes() { return g_alloc_bytes.load(std::memory_order_relaxed); }
 
 void* counted_alloc(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc{};
 }
@@ -246,13 +250,16 @@ void BM_SketchUpdate(benchmark::State& state) {
 BENCHMARK(BM_SketchUpdate);
 
 // The sketch's zero-steady-state-allocation contract, CI-gated at zero like
-// the event queue's: compactor levels are pre-sized at construction, so a
-// window of 1e6 updates (with many compaction cascades) must never touch
-// the heap.
+// the event queue's: the first compaction sizes every compactor level, so
+// after a warm-up past exact_threshold a window of 1e6 updates (with many
+// compaction cascades) must never touch the heap.
 void BM_SketchUpdateAllocs(benchmark::State& state) {
   constexpr std::uint64_t kWindow = 1'000'000;
   obs::QuantileSketch sketch;
   Rng rng{12};
+  for (std::uint32_t i = 0; i < sketch.options().exact_threshold; ++i) {
+    sketch.update(rng.next_double());  // warm-up: the one sizing allocation
+  }
   double window_allocs = 0.0;
   for (auto _ : state) {
     const std::uint64_t before = alloc_count();
@@ -310,6 +317,41 @@ void BM_CollectNetworkMetrics(benchmark::State& state) {
   state.SetLabel("items = links");
 }
 BENCHMARK(BM_CollectNetworkMetrics)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
+
+// Obs memory per link: attaching a registry to a unit-disk city of 8-link
+// cells, DCF (the observed_city shape). Every link gets a debt gauge and
+// debt sketch, every cell registry two sample sketches; none of them has
+// left exact mode at attach time, so the cost is what a short run pays.
+void BM_AttachMetrics(benchmark::State& state) {
+  const auto links = static_cast<std::size_t>(state.range(0));
+  const std::size_t cells = links / 8;
+  net::NetworkConfig cfg = expfw::with_sparse_topology(
+      net::symmetric_network(links, Duration::milliseconds(2),
+                             phy::PhyParams::control_80211a(), 0.7,
+                             traffic::BernoulliArrivals{0.8}, 0.9, 21),
+      expfw::city_unit_disk_topology(cells, 8, 22));
+  cfg.shards = cells;
+  net::Network net{std::move(cfg), expfw::dcf_factory()};
+  std::uint64_t allocs = 0;
+  std::uint64_t bytes = 0;
+  for (auto _ : state) {
+    obs::MetricsRegistry registry;
+    const std::uint64_t allocs_before = alloc_count();
+    const std::uint64_t bytes_before = alloc_bytes();
+    net.attach_metrics(&registry);
+    allocs = alloc_count() - allocs_before;
+    bytes = alloc_bytes() - bytes_before;
+    net.attach_metrics(nullptr);
+  }
+  const auto per_link = [links](std::uint64_t v) {
+    return static_cast<double>(v) / static_cast<double>(links);
+  };
+  state.counters["allocs_per_link"] = per_link(allocs);
+  state.counters["bytes_per_link"] = per_link(bytes);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(links));
+  state.SetLabel("items = links");
+}
+BENCHMARK(BM_AttachMetrics)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 // One-pass fold of per-cell registries into an export target, the sharded
 // collect path (Network::merge_cell_metrics_into). Each cell holds the

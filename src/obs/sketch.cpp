@@ -20,14 +20,15 @@ QuantileSketch::QuantileSketch(const SketchOptions& opts)
   // Level capacities: level 0 is the exact buffer; every higher level must
   // hold its own trigger fill (k - 1) plus the largest batch one compaction
   // below can promote (ceil(capacity/2)), so a promotion can never overrun
-  // the pre-sized block mid-cascade.
+  // the block mid-cascade. Only level 0 is allocated here: most sketches
+  // never leave exact mode, and the first compaction sizes the rest.
   std::uint32_t total = 0;
   for (std::size_t l = 0; l < kMaxLevels; ++l) {
     capacity_[l] = l == 0 ? opts.exact_threshold : opts.k + (capacity_[l - 1] + 1) / 2;
     offset_[l] = total;
     total += capacity_[l];
   }
-  storage_.assign(total, 0.0);
+  storage_.assign(capacity_[0], 0.0);
 }
 
 void QuantileSketch::update(double v) {
@@ -47,6 +48,11 @@ void QuantileSketch::update(double v) {
 void QuantileSketch::compact(std::size_t level) {
   RTMAC_ASSERT(level + 1 < kMaxLevels, "sketch level hierarchy overflow");
   exact_ = false;
+  // The exact -> estimate transition: size every level in one allocation,
+  // so no later update or cascade allocates again.
+  if (storage_.size() == capacity_[0]) {
+    storage_.resize(offset_[kMaxLevels - 1] + capacity_[kMaxLevels - 1]);
+  }
   double* base = storage_.data() + offset_[level];
   const std::uint32_t n = size_[level];
   std::sort(base, base + n);
@@ -99,6 +105,9 @@ void QuantileSketch::merge(std::span<const QuantileSketch* const> others) {
     count_ += other->count_;
     exact_ = exact_ && other->exact_;
     for (std::size_t l = 0; l < kMaxLevels; ++l) {
+      // Empty levels may lie past the allocated block: skip them before
+      // forming a pointer into it.
+      if (other->size_[l] == 0) continue;
       const double* base = other->storage_.data() + other->offset_[l];
       const std::uint64_t weight = std::uint64_t{1} << l;
       for (std::uint32_t i = 0; i < other->size_[l]; ++i) {
@@ -151,6 +160,7 @@ void QuantileSketch::gather() const {
   scratch_.clear();
   scratch_.reserve(retained());
   for (std::size_t l = 0; l < kMaxLevels; ++l) {
+    if (size_[l] == 0) continue;  // may lie past the allocated block
     const double* base = storage_.data() + offset_[l];
     const std::uint64_t weight = std::uint64_t{1} << l;
     for (std::uint32_t i = 0; i < size_[l]; ++i) {

@@ -34,9 +34,12 @@
 //    is cached until the next update()/merge(), so the quantiles of one
 //    export (p50/p90/p99) share a single O(r log r) sort.
 //
-// The update path performs zero steady-state allocations: all compactor
-// levels are pre-sized at construction (CI-gated by BM_SketchUpdateAllocs,
-// like the event queue's steady state).
+// Memory is sized by use. Construction allocates only the exact-mode level
+// 0 (`exact_threshold` doubles), so a sketch that never compacts (a per-link
+// series over a short run) costs kilobytes, not the whole hierarchy. The
+// first compaction sizes every level in one allocation; from then on the
+// update path allocates nothing (CI-gated by BM_SketchUpdateAllocs, like the
+// event queue's steady state).
 #pragma once
 
 #include <array>
@@ -78,7 +81,8 @@ class QuantileSketch {
   /// values (even capacities keep weight-preserving compaction simple).
   explicit QuantileSketch(const SketchOptions& opts = {});
 
-  /// Inserts one sample. Zero allocations (levels are pre-sized).
+  /// Inserts one sample. Allocates only once, when the first compaction
+  /// sizes the level hierarchy; every other call is allocation-free.
   void update(double v);
 
   /// Folds `other` into this sketch as a pure union of retained weighted
@@ -131,7 +135,9 @@ class QuantileSketch {
 
   SketchOptions opts_;
   Rng coin_;
-  std::vector<double> storage_;  ///< all levels, one flat pre-sized block
+  /// All levels, one flat block: level 0 only until the first compaction,
+  /// then every level. Levels past the block are empty until then.
+  std::vector<double> storage_;
   std::array<std::uint32_t, kMaxLevels> offset_{};    ///< level start in storage_
   std::array<std::uint32_t, kMaxLevels> capacity_{};  ///< level slot count
   std::array<std::uint32_t, kMaxLevels> size_{};      ///< live samples per level

@@ -1,9 +1,11 @@
 // The quantile-sketch contract: exact mode below the threshold, the
 // rank-error guarantee on a 10^7-sample stream (property-tested against the
 // exact sorted reference), merge-order-invariant byte-identical exports,
-// seed-determinism, scalar preservation, and the zero-steady-state-
-// allocation update path (interposed global new/delete, the same gate the
-// event engine's hot path uses).
+// exports pinned to recorded values, seed-determinism, scalar preservation,
+// and the allocation profile of the update path: level 0 only at
+// construction, one allocation at the first compaction, zero after
+// (interposed global new/delete, the same gate the event engine's hot path
+// uses).
 #include "obs/sketch.hpp"
 
 #include <gtest/gtest.h>
@@ -16,8 +18,12 @@
 #include <sstream>
 #include <vector>
 
+#include "expfw/scenarios.hpp"
+#include "net/network.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "phy/phy_params.hpp"
+#include "traffic/arrival_process.hpp"
 #include "util/rng.hpp"
 
 // ---- allocation counting ----------------------------------------------------
@@ -27,9 +33,11 @@
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::uint64_t> g_alloc_bytes{0};
 
 void* counted_alloc(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc{};
 }
@@ -291,16 +299,120 @@ TEST(SketchTest, BatchMergeMatchesSequentialMerges) {
   EXPECT_EQ(batched.exact(), sequential.exact());
 }
 
-// The whole point of pre-sized compactors: once constructed, update()
+// Memory is sized by use: construction allocates only the exact-mode
+// level 0, exact-mode updates never allocate, the first compaction sizes
+// the whole hierarchy in exactly one allocation, and from then on update()
 // never touches the allocator, however many compaction cascades run.
 TEST(SketchTest, UpdatePathIsAllocationFree) {
-  QuantileSketch s{{/*k=*/64, /*exact_threshold=*/128}};
+  const SketchOptions opts{/*k=*/64, /*exact_threshold=*/128};
+  const auto allocs = [] { return g_alloc_count.load(std::memory_order_relaxed); };
+
+  const std::uint64_t bytes_before = g_alloc_bytes.load(std::memory_order_relaxed);
+  const std::uint64_t construct_before = allocs();
+  QuantileSketch s{opts};
+  EXPECT_LE(allocs() - construct_before, 1u);
+  EXPECT_LE(g_alloc_bytes.load(std::memory_order_relaxed) - bytes_before,
+            std::uint64_t{opts.exact_threshold} * sizeof(double));
+
   Rng rng{7};
-  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t exact_before = allocs();
+  for (std::uint32_t i = 0; i + 1 < opts.exact_threshold; ++i) s.update(rng.next_double());
+  EXPECT_EQ(allocs() - exact_before, 0u);
+  EXPECT_TRUE(s.exact());
+
+  const std::uint64_t first_before = allocs();
+  s.update(rng.next_double());  // fills level 0: the first compaction
+  EXPECT_EQ(allocs() - first_before, 1u);
+  EXPECT_FALSE(s.exact());
+
+  const std::uint64_t steady_before = allocs();
   for (int i = 0; i < 1'000'000; ++i) s.update(rng.next_double());
-  const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0u);
-  EXPECT_EQ(s.count(), 1'000'000u);
+  EXPECT_EQ(allocs() - steady_before, 0u);
+  EXPECT_EQ(s.count(), 1'000'000u + opts.exact_threshold);
+}
+
+// Every statistic the registry exports for a sketch, in export order plus
+// the retained count, through the JSONL number formatter.
+std::string pinned_export(const QuantileSketch& s) {
+  std::ostringstream out;
+  out << json_number(s.count()) << ',' << json_number(s.sum()) << ','
+      << json_number(s.min()) << ',' << json_number(s.max()) << ','
+      << json_number(s.quantile(0.50)) << ',' << json_number(s.quantile(0.90)) << ','
+      << json_number(s.quantile(0.99)) << ','
+      << json_number(static_cast<std::uint64_t>(s.retained())) << ','
+      << (s.exact() ? 1 : 0);
+  return std::move(out).str();
+}
+
+QuantileSketch filled(const SketchOptions& opts, std::uint64_t stream, int n) {
+  QuantileSketch s{opts};
+  Rng rng{stream};
+  for (int i = 0; i < n; ++i) {
+    // Mixture: uniform body plus a -log tail, so the quantiles separate.
+    const double u = rng.next_double();
+    s.update(i % 7 == 6 ? -20.0 * std::log(u + 1e-12) : 10.0 * u);
+  }
+  return s;
+}
+
+// Exported values recorded before the level hierarchy became lazily sized:
+// when and how the sketch allocates must not change a single exported byte,
+// on either side of the exact -> estimate transition.
+TEST(SketchTest, ExportsMatchRecordedValues) {
+  const SketchOptions per_link{/*k=*/64, /*exact_threshold=*/256, /*seed=*/101};
+  const SketchOptions wide{/*k=*/256, /*exact_threshold=*/2048, /*seed=*/202};
+  const struct {
+    const SketchOptions& opts;
+    int n;
+    const char* want;
+  } cases[] = {
+      {per_link, 255,
+       "255,1920.877408935921,0.016938953597233075,70.67200997608033,5.458097286064083,"
+       "9.85061045732946,60.29898735168925,255,1"},
+      {per_link, 256,
+       "256,1926.1384259863053,0.016938953597233075,70.67200997608033,5.2610170503841545,"
+       "9.739499985234346,42.21615844380774,32,0"},
+      {per_link, 100'000,
+       "100000,716817.1102027426,7.427911670077059e-05,219.63924761779407,5.396766039195537,"
+       "9.896547130553659,79.76724018200328,288,0"},
+      {wide, 2047,
+       "2047,15045.480665017358,0.009297039248197886,127.04297230898332,5.537352071904731,"
+       "9.892635612344861,55.29585022041562,2047,1"},
+      {wide, 2048,
+       "2048,15051.867486523928,0.009297039248197886,127.04297230898332,5.452938084472859,"
+       "9.893847059806838,52.15047319295877,128,0"},
+      {wide, 100'000,
+       "100000,716817.1102027426,7.427911670077059e-05,219.63924761779407,5.353997107475027,"
+       "9.851525138295704,53.08317129195573,1952,0"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(pinned_export(filled(c.opts, 31, c.n)), c.want)
+        << "k=" << c.opts.k << " n=" << c.n;
+  }
+
+  // A batch merge of exact, compacted and empty inputs into an exact target.
+  QuantileSketch target = filled(per_link, 41, 100);
+  const QuantileSketch exact_in = filled(per_link, 42, 200);
+  const QuantileSketch compacted = filled(per_link, 43, 5000);
+  const QuantileSketch empty{per_link};
+  const QuantileSketch big = filled(wide, 44, 100'000);
+  const QuantileSketch* const inputs[] = {&exact_in, &compacted, &empty, &big};
+  target.merge(inputs);
+  EXPECT_EQ(pinned_export(target),
+            "105300,751393.2297031413,1.5177483516648493e-05,224.2489438041173,"
+            "5.3728368419902885,9.861344738320092,46.918237060061195,2484,0");
+
+  // A copy taken in exact mode owns only level 0; it must compact on its
+  // own after the copy, leaving the original untouched.
+  const QuantileSketch original = filled(per_link, 51, 200);
+  QuantileSketch copy = original;
+  Rng rng{52};
+  for (int i = 0; i < 10'000; ++i) copy.update(rng.next_double());
+  EXPECT_EQ(pinned_export(copy),
+            "10200,6345.398918764665,3.126239258599561e-05,46.63114229827707,"
+            "0.4961280520905298,0.9002861689700228,0.9935340194472386,344,0");
+  EXPECT_EQ(pinned_export(original), pinned_export(filled(per_link, 51, 200)));
+  EXPECT_TRUE(original.exact());
 }
 
 // Registry integration: get-or-create handles, per-name seed separation,
@@ -333,6 +445,32 @@ TEST(SketchTest, RegistryExportRoundTrips) {
     EXPECT_EQ(parsed->at("exact"), "1");
   }
   EXPECT_TRUE(found);
+}
+
+// The footprint that motivated sizing sketches by use: attaching a
+// registry to a 4,096-link city of 512 cells gives every link its own debt
+// sketch and every cell registry two sample sketches, none of which leaves
+// exact mode on a short run. The whole attach must cost at most 12 KiB per
+// link; pre-sizing the full hierarchy cost about 108 KiB per link.
+TEST(SketchFootprintTest, AttachMetricsOnCellCityIsSmallPerLink) {
+  constexpr std::size_t kCells = 512;
+  constexpr std::size_t kLinks = kCells * 8;
+  net::NetworkConfig cfg = expfw::with_sparse_topology(
+      net::symmetric_network(kLinks, Duration::milliseconds(2),
+                             phy::PhyParams::control_80211a(), 0.7,
+                             traffic::BernoulliArrivals{0.8}, 0.9, 21),
+      expfw::city_unit_disk_topology(kCells, 8, 22));
+  cfg.shards = kCells;
+  cfg.shard_jobs = 1;
+  net::Network net{std::move(cfg), expfw::dcf_factory()};
+  ASSERT_EQ(net.cell_count(), kCells);
+
+  MetricsRegistry registry;
+  const std::uint64_t before = g_alloc_bytes.load(std::memory_order_relaxed);
+  net.attach_metrics(&registry);
+  const std::uint64_t bytes = g_alloc_bytes.load(std::memory_order_relaxed) - before;
+  EXPECT_LE(bytes, kLinks * 12 * 1024) << "bytes per link: " << bytes / kLinks;
+  net.attach_metrics(nullptr);
 }
 
 }  // namespace
