@@ -203,9 +203,10 @@ BENCHMARK(BM_DcfVideoInterval);
 // the whole steady-state interval path — SoA kernel, shared backoff clock,
 // burst transmissions, caller-owned delivery buffers — must never touch the
 // heap. A regression here fails the bench-perf lane, not just a dashboard.
-void BM_DbdpIntervalAllocs(benchmark::State& state) {
+void interval_allocs(benchmark::State& state, net::NetworkConfig cfg,
+                     const mac::SchemeFactory& factory) {
   constexpr IntervalIndex kWindow = 32;
-  net::Network net{expfw::video_symmetric(0.55, 0.9, 1), expfw::dbdp_factory()};
+  net::Network net{std::move(cfg), factory};
   net.run(8);  // warm-up: pools, stats buffers, scheme state
   double allocs_per_interval = 0.0;
   for (auto _ : state) {
@@ -217,24 +218,36 @@ void BM_DbdpIntervalAllocs(benchmark::State& state) {
   state.counters["allocs_per_interval"] = allocs_per_interval;
   state.SetItemsProcessed(state.iterations() * kWindow);
 }
+
+void BM_DbdpIntervalAllocs(benchmark::State& state) {
+  interval_allocs(state, expfw::video_symmetric(0.55, 0.9, 1), expfw::dbdp_factory());
+}
 BENCHMARK(BM_DbdpIntervalAllocs);
 
 // Same gate for the centralized LDF scheduler (sort-based serve loop).
 void BM_LdfIntervalAllocs(benchmark::State& state) {
-  constexpr IntervalIndex kWindow = 32;
-  net::Network net{expfw::video_symmetric(0.55, 0.9, 1), expfw::ldf_factory()};
-  net.run(8);
-  double allocs_per_interval = 0.0;
-  for (auto _ : state) {
-    const std::uint64_t before = alloc_count();
-    net.run(kWindow);
-    allocs_per_interval =
-        static_cast<double>(alloc_count() - before) / static_cast<double>(kWindow);
-  }
-  state.counters["allocs_per_interval"] = allocs_per_interval;
-  state.SetItemsProcessed(state.iterations() * kWindow);
+  interval_allocs(state, expfw::video_symmetric(0.55, 0.9, 1), expfw::ldf_factory());
 }
 BENCHMARK(BM_LdfIntervalAllocs);
+
+// Same gate for the random-backoff CSMA schemes, on both backoff clocks: a
+// complete collision domain counts down on one SharedBackoffClock, while two
+// hidden carrier-sense cells of 10 put every link on its own BackoffEngine.
+net::NetworkConfig contention_config(bool hidden) {
+  net::NetworkConfig cfg = expfw::video_symmetric(0.55, 0.9, 1);
+  if (!hidden) return cfg;
+  return expfw::with_topology(std::move(cfg), expfw::hidden_cells_topology(20, 10));
+}
+void BM_DcfIntervalAllocs(benchmark::State& state, bool hidden) {
+  interval_allocs(state, contention_config(hidden), expfw::dcf_factory());
+}
+void BM_FcsmaIntervalAllocs(benchmark::State& state, bool hidden) {
+  interval_allocs(state, contention_config(hidden), expfw::fcsma_factory());
+}
+BENCHMARK_CAPTURE(BM_DcfIntervalAllocs, shared_clock, false);
+BENCHMARK_CAPTURE(BM_DcfIntervalAllocs, per_link_engines, true);
+BENCHMARK_CAPTURE(BM_FcsmaIntervalAllocs, shared_clock, false);
+BENCHMARK_CAPTURE(BM_FcsmaIntervalAllocs, per_link_engines, true);
 
 // Quantile-sketch update throughput: the per-interval observability cost of
 // the sketch-backed series (debt, deliveries, busy periods, latency).

@@ -192,14 +192,16 @@ void DpBatchKernel::validate_permutation() {
 
 DpBatchBackoff::DpBatchBackoff(sim::Simulator& simulator, phy::Medium& medium, Duration slot,
                                std::size_t num_links, std::size_t freeze_capacity_hint,
-                               ExpiryHandler on_expire)
+                               std::span<const LinkId> link_ids, ExpiryHandler on_expire)
     : sim_{simulator},
       medium_{medium},
       slot_{slot},
       num_links_{num_links},
+      link_ids_{link_ids},
       on_expire_{std::move(on_expire)},
       betas_(num_links, 0) {
   RTMAC_REQUIRE(slot.ns() > 0);
+  RTMAC_REQUIRE(link_ids.empty() || link_ids.size() == num_links);
   order_.reserve(num_links);
   freeze_log_.reserve(freeze_capacity_hint);
   medium_.add_listener(this);  // global view: the domain has complete sensing
@@ -269,12 +271,6 @@ bool DpBatchBackoff::frozen_with_remaining(int beta, int remaining) const {
   return false;
 }
 
-int DpBatchBackoff::elapsed_slots() const {
-  if (!in_interval_) return 0;
-  if (frozen_) return elapsed_frozen_;
-  return elapsed_at_resume_ + static_cast<int>((sim_.now() - resume_time_).floor_div(slot_));
-}
-
 void DpBatchBackoff::schedule_next() {
   if (next_ >= order_.size()) return;
   const LinkId link = order_[next_];
@@ -338,15 +334,10 @@ void DpBatchBackoff::on_medium_idle(TimePoint t) {
 void DpBatchBackoff::account_freezes(TimePoint resume_at) {
   if (obs::MetricsRegistry* m = medium_.metrics(); m != metrics_seen_) {
     metrics_seen_ = m;
-    freeze_hist_ = nullptr;
     freeze_ns_.assign(num_links_, nullptr);
-    if (m != nullptr) {
-      freeze_hist_ =
-          &m->histogram("mac.backoff_freeze_us", obs::log_bounds(1.0, 65536.0, 2.0));
-      for (LinkId n = 0; n < num_links_; ++n) {
-        freeze_ns_[n] = &m->counter(obs::link_metric("mac.freeze_ns", n));
-      }
-    }
+    freeze_hist_ = m == nullptr ? nullptr
+                                : &m->histogram("mac.backoff_freeze_us",
+                                                obs::log_bounds(1.0, 65536.0, 2.0));
   }
   if (freeze_hist_ == nullptr) return;
   const Duration frozen_for = resume_at - freeze_time_;
@@ -355,6 +346,10 @@ void DpBatchBackoff::account_freezes(TimePoint resume_at) {
   for (LinkId n = 0; n < num_links_; ++n) {
     if (betas_[n] > elapsed_frozen_) {
       freeze_hist_->observe(frozen_for.us_f());
+      if (freeze_ns_[n] == nullptr) {
+        const LinkId link = link_ids_.empty() ? n : link_ids_[n];
+        freeze_ns_[n] = &metrics_seen_->counter(obs::link_metric("mac.freeze_ns", link));
+      }
       freeze_ns_[n]->inc(static_cast<std::uint64_t>(frozen_for.ns()));
     }
   }

@@ -182,9 +182,12 @@ class DpBatchBackoff final : public phy::MediumListener {
 
   /// `freeze_capacity_hint` pre-sizes the shared freeze log (at most one
   /// freeze per transmission, bounded by interval_length / min_airtime).
+  /// `link_ids` maps local links to the global ids that name their freeze
+  /// counters (SchemeContext::link_ids; empty = identity) and must outlive
+  /// the clock.
   DpBatchBackoff(sim::Simulator& simulator, phy::Medium& medium, Duration slot,
                  std::size_t num_links, std::size_t freeze_capacity_hint,
-                 ExpiryHandler on_expire);
+                 std::span<const LinkId> link_ids, ExpiryHandler on_expire);
 
   DpBatchBackoff(const DpBatchBackoff&) = delete;
   DpBatchBackoff& operator=(const DpBatchBackoff&) = delete;
@@ -205,9 +208,6 @@ class DpBatchBackoff final : public phy::MediumListener {
   /// a window of `beta` slots had exactly `remaining` slots left.
   [[nodiscard]] bool frozen_with_remaining(int beta, int remaining) const;
 
-  /// Whole slots elapsed on the shared clock (diagnostics).
-  [[nodiscard]] int elapsed_slots() const;
-
   // phy::MediumListener:
   void on_medium_busy(TimePoint t) override;
   void on_medium_idle(TimePoint t) override;
@@ -224,6 +224,7 @@ class DpBatchBackoff final : public phy::MediumListener {
   phy::Medium& medium_;
   Duration slot_;
   std::size_t num_links_;
+  std::span<const LinkId> link_ids_;
   ExpiryHandler on_expire_;
 
   std::vector<int> betas_;      ///< per-link windows for the current interval
@@ -241,7 +242,8 @@ class DpBatchBackoff final : public phy::MediumListener {
   sim::EventId expiry_event_;
 
   // Cached metric handles, re-resolved when the Medium's registry changes
-  // (parity with BackoffEngine's per-link freeze accounting).
+  // (parity with BackoffEngine's per-link freeze accounting: a link's
+  // counter is registered at its first freeze, under its global id).
   obs::MetricsRegistry* metrics_seen_ = nullptr;
   obs::Histogram* freeze_hist_ = nullptr;
   std::vector<obs::Counter*> freeze_ns_;

@@ -19,7 +19,6 @@ void DpLinkAir::begin(int arrivals, TimePoint interval_end, bool is_candidate) {
   buffer_ = arrivals;
   is_candidate_ = is_candidate;
   delivered_ = 0;
-  tx_started_ = 0;
   first_tx_started_ = false;
   // Step 2: a candidate with no traffic still claims its slot on the air.
   empty_claim_pending_ = is_candidate && buffer_ == 0;
@@ -42,37 +41,15 @@ void DpLinkAir::run_burst() {
   // and the loss-stream draw order is exactly the per-event path's.
   TimePoint t = sim_.now();
   bool began = false;
-  while (true) {
-    Duration airtime;
-    phy::PacketKind kind;
-    if (buffer_ > 0) {
-      if (t + params_.data_airtime <= interval_end_) {
-        airtime = params_.data_airtime;
-        kind = phy::PacketKind::kData;
-      } else if (is_candidate_ && !first_tx_started_ &&
-                 t + params_.empty_airtime <= interval_end_) {
-        // Gap-blocked candidate claim (see try_transmit); first packet only.
-        airtime = params_.empty_airtime;
-        kind = phy::PacketKind::kEmpty;
-      } else {
-        break;
-      }
-    } else if (empty_claim_pending_ && t + params_.empty_airtime <= interval_end_) {
-      empty_claim_pending_ = false;
-      airtime = params_.empty_airtime;
-      kind = phy::PacketKind::kEmpty;
-    } else {
-      break;
-    }
+  for (std::optional<Packet> packet = next_packet(t); packet; packet = next_packet(t)) {
     if (!began) {
       medium_.begin_burst(id_);
       began = true;
     }
-    ++tx_started_;
     first_tx_started_ = true;
-    const phy::TxOutcome outcome = medium_.burst_tx(id_, t, airtime, kind);
-    t += airtime;
-    if (kind == phy::PacketKind::kData) {
+    const phy::TxOutcome outcome = medium_.burst_tx(id_, t, packet->airtime, packet->kind);
+    t += packet->airtime;
+    if (packet->kind == phy::PacketKind::kData) {
       if (estimator_ != nullptr) estimator_->record(id_, outcome == phy::TxOutcome::kDelivered);
       if (outcome == phy::TxOutcome::kDelivered) {
         ++delivered_;
@@ -83,21 +60,11 @@ void DpLinkAir::run_burst() {
   if (began) medium_.end_burst(t);
 }
 
-void DpLinkAir::try_transmit() {
-  const TimePoint now = sim_.now();
-
-  auto send = [this](Duration airtime, phy::PacketKind kind) {
-    ++tx_started_;
-    first_tx_started_ = true;
-    medium_.start_transmission(id_, airtime, kind,
-                               [this, kind](phy::TxOutcome o) { on_tx_done(kind, o); });
-  };
-
+std::optional<DpLinkAir::Packet> DpLinkAir::next_packet(TimePoint t) {
   if (buffer_ > 0) {
     // Remark 4 gap rule: transmit only if the packet fits in the interval.
-    if (now + params_.data_airtime <= interval_end_) {
-      send(params_.data_airtime, phy::PacketKind::kData);
-      return;
+    if (t + params_.data_airtime <= interval_end_) {
+      return Packet{params_.data_airtime, phy::PacketKind::kData};
     }
     // Swap-consistency rule: a CANDIDATE whose data packet no longer fits
     // must still claim its backoff slot on the air if a short empty packet
@@ -105,16 +72,25 @@ void DpLinkAir::try_transmit() {
     // and the partner could commit a one-sided swap. (Candidates without
     // arrivals already claim via empty_claim_pending_ below; this extends
     // the same priority-claiming packet to the gap-blocked data case.)
-    if (is_candidate_ && !first_tx_started_ &&
-        now + params_.empty_airtime <= interval_end_) {
-      send(params_.empty_airtime, phy::PacketKind::kEmpty);
+    if (is_candidate_ && !first_tx_started_ && t + params_.empty_airtime <= interval_end_) {
+      return Packet{params_.empty_airtime, phy::PacketKind::kEmpty};
     }
-    return;
+    return std::nullopt;
   }
-  if (empty_claim_pending_ && now + params_.empty_airtime <= interval_end_) {
+  if (empty_claim_pending_ && t + params_.empty_airtime <= interval_end_) {
     empty_claim_pending_ = false;
-    send(params_.empty_airtime, phy::PacketKind::kEmpty);
+    return Packet{params_.empty_airtime, phy::PacketKind::kEmpty};
   }
+  return std::nullopt;
+}
+
+void DpLinkAir::try_transmit() {
+  const std::optional<Packet> packet = next_packet(sim_.now());
+  if (!packet) return;
+  first_tx_started_ = true;
+  const phy::PacketKind kind = packet->kind;
+  medium_.start_transmission(id_, packet->airtime, kind,
+                             [this, kind](phy::TxOutcome o) { on_tx_done(kind, o); });
 }
 
 void DpLinkAir::on_tx_done(phy::PacketKind kind, phy::TxOutcome outcome) {
@@ -191,25 +167,15 @@ DpScheme::DpScheme(const SchemeContext& ctx, std::unique_ptr<PriorityProvider> p
               params.max_swap_pairs,    initial_priority_array(ctx, initial),
               ctx.seed,                 ctx.priority_space(),
               ctx.link_ids},
-      name_{std::move(name)} {
+      name_{std::move(name)},
+      clock_{ctx, params.backoff_slot, /*label_engines=*/true,
+             freeze_capacity_hint(ctx.interval_length, params), ctx.link_ids,
+             DpBatchBackoff::ExpiryHandler{[this](LinkId n) { on_slot_won(n); }}} {
   airs_.reserve(ctx.num_links);
   for (LinkId n = 0; n < ctx.num_links; ++n) {
     airs_.emplace_back(ctx.simulator, ctx.medium, params, n, estimator);
   }
-  if (ctx.medium.topology().complete_sensing()) {
-    armed_scratch_.assign(ctx.num_links, 0);
-    batch_backoff_ = std::make_unique<DpBatchBackoff>(
-        ctx.simulator, ctx.medium, params.backoff_slot, ctx.num_links,
-        freeze_capacity_hint(ctx.interval_length, params),
-        DpBatchBackoff::ExpiryHandler{[this](LinkId n) { on_slot_won(n); }});
-  } else {
-    engines_.reserve(ctx.num_links);
-    for (LinkId n = 0; n < ctx.num_links; ++n) {
-      engines_.push_back(
-          std::make_unique<BackoffEngine>(ctx.simulator, ctx.medium, params.backoff_slot, n));
-      engines_.back()->set_trace_link(ctx.global_id(n));
-    }
-  }
+  if (clock_.batch_path()) armed_scratch_.assign(ctx.num_links, 0);
 }
 
 void DpScheme::on_slot_won(LinkId n) { airs_[n].on_slot_won(); }
@@ -221,10 +187,11 @@ void DpScheme::begin_interval(IntervalIndex k, std::span<const int> arrivals,
   // Steps 1, 3, 4 for every link, as flat SoA passes.
   kernel_.plan_interval(k);
   sim::Tracer* tracer = medium_.tracer();
+  DpBatchBackoff* shared = clock_.shared();
   for (LinkId n = 0; n < n_links; ++n) {
     airs_[n].begin(arrivals[n], interval_end, kernel_.is_candidate(n));
-    if (batch_backoff_ == nullptr) {
-      engines_[n]->start(kernel_.backoff_count(n), [this, n] { on_slot_won(n); });
+    if (shared == nullptr) {
+      clock_.engine(n).start(kernel_.backoff_count(n), [this, n] { on_slot_won(n); });
       continue;
     }
     armed_scratch_[n] = airs_[n].armed() ? 1 : 0;
@@ -235,9 +202,9 @@ void DpScheme::begin_interval(IntervalIndex k, std::span<const int> arrivals,
   }
   // Unarmed links can never transmit, so their expiries are observable only
   // through the trace; schedule them only when someone is watching.
-  if (batch_backoff_ != nullptr) {
-    batch_backoff_->begin_interval(sim_.now(), kernel_.backoff_counts(), armed_scratch_,
-                                   /*include_unarmed=*/tracer != nullptr);
+  if (shared != nullptr) {
+    shared->begin_interval(sim_.now(), kernel_.backoff_counts(), armed_scratch_,
+                           /*include_unarmed=*/tracer != nullptr);
   }
 }
 
@@ -245,13 +212,12 @@ void DpScheme::end_interval(std::span<int> delivered) {
   const std::size_t n_links = kernel_.num_links();
   RTMAC_REQUIRE(delivered.size() == n_links);
   sim::Tracer* tracer = medium_.tracer();
-  if (batch_backoff_ != nullptr) batch_backoff_->stop();
-  for (const auto& engine : engines_) engine->stop();
+  const DpBatchBackoff* shared = clock_.shared();
+  clock_.stop();
   for (LinkId n = 0; n < n_links; ++n) {
-    const bool frozen_at_one =
-        batch_backoff_ != nullptr
-            ? batch_backoff_->frozen_with_remaining(kernel_.backoff_count(n), 1)
-            : engines_[n]->was_frozen_at(1);
+    const bool frozen_at_one = shared != nullptr
+                                   ? shared->frozen_with_remaining(kernel_.backoff_count(n), 1)
+                                   : clock_.engine(n).was_frozen_at(1);
     const PriorityIndex before = kernel_.priority(n);
     // A claim airs only from this interval's expiry, so aired() also says the
     // countdown expired.
@@ -269,7 +235,7 @@ void DpScheme::end_interval(std::span<int> delivered) {
   // terminals may observe asymmetric freeze records and commit one-sided
   // swaps.
   if constexpr (kChecksEnabled) {
-    if (batch_backoff_ != nullptr) kernel_.validate_permutation();
+    if (shared != nullptr) kernel_.validate_permutation();
   }
 }
 

@@ -13,7 +13,7 @@
 // One layout: the per-interval protocol math lives in DpBatchKernel
 // (mac/dp_batch_kernel.hpp) as flat SoA passes, and every link's
 // transmission half is a DpLinkAir in one flat array. Only the backoff clock
-// depends on the cell's sense views:
+// depends on the cell's sense views (ClockArm, mac/clock_arm.hpp):
 //   * complete sensing: one shared clock (DpBatchBackoff) for the domain,
 //     and the Medium's burst fast path — the allocation-free hot path;
 //   * otherwise (hidden terminals): one BackoffEngine per link, listening on
@@ -32,7 +32,7 @@
 
 #include "core/permutation.hpp"
 #include "core/types.hpp"
-#include "mac/backoff_engine.hpp"
+#include "mac/clock_arm.hpp"
 #include "mac/dp_batch_kernel.hpp"
 #include "mac/link_mac.hpp"
 #include "mac/priority_provider.hpp"
@@ -88,12 +88,15 @@ class DpLinkAir {
   /// True iff the at-expiry claim actually aired (first transmission began).
   [[nodiscard]] bool aired() const { return first_tx_started_; }
 
-  /// Number of transmissions (data + empty) started this interval (R_n).
-  [[nodiscard]] int transmissions_started() const { return tx_started_; }
-
-  [[nodiscard]] LinkId id() const { return id_; }
-
  private:
+  struct Packet {
+    Duration airtime;
+    phy::PacketKind kind;
+  };
+
+  /// What this link may put on the air at `t` (gap and claim rules), if
+  /// anything; consumes a pending empty claim.
+  std::optional<Packet> next_packet(TimePoint t);
   void try_transmit();
   void run_burst();
   void on_tx_done(phy::PacketKind kind, phy::TxOutcome outcome);
@@ -110,7 +113,6 @@ class DpLinkAir {
   bool is_candidate_ = false;
   bool empty_claim_pending_ = false;
   int delivered_ = 0;
-  int tx_started_ = 0;
   bool first_tx_started_ = false;  ///< the at-expiry claim actually aired
 };
 
@@ -146,10 +148,10 @@ class DpScheme final : public MacScheme {
   [[nodiscard]] const DpBatchKernel& kernel() const { return kernel_; }
 
   /// True when one shared clock drives every countdown (complete sensing).
-  [[nodiscard]] bool batch_path() const { return batch_backoff_ != nullptr; }
+  [[nodiscard]] bool batch_path() const { return clock_.batch_path(); }
 
   [[nodiscard]] std::size_t pending_events_per_link() const override {
-    return batch_path() ? 1 : 6;
+    return clock_.pending_events_per_link();
   }
 
  private:
@@ -163,13 +165,7 @@ class DpScheme final : public MacScheme {
   std::string name_;
   std::vector<DpLinkAir> airs_;
   std::vector<std::uint8_t> armed_scratch_;  ///< shared clock's armed mask
-
-  // Exactly one clock: the shared one (complete sensing), or one engine per
-  // link on its own sense view.
-  std::unique_ptr<DpBatchBackoff> batch_backoff_;
-  // Built in link order (their listener order); each registered `this` with
-  // the Medium, so they live behind pointers and never move.
-  std::vector<std::unique_ptr<BackoffEngine>> engines_;
+  ClockArm<DpBatchBackoff> clock_;
 };
 
 }  // namespace rtmac::mac

@@ -14,19 +14,15 @@
 //
 // Reference [22] does not fix numerical constants in the paper text; the
 // defaults below keep the documented structure and are swept by
-// bench/ablation_fcsma_windows.
+// bench/ablation_fcsma_windows. The contention loop itself is
+// ContentionScheme (mac/contention_mac.hpp).
 #pragma once
 
-#include <memory>
-#include <span>
-#include <string>
+#include <cstdint>
 #include <vector>
 
 #include "core/influence.hpp"
-#include "mac/backoff_engine.hpp"
-#include "mac/link_mac.hpp"
-#include "mac/shared_backoff_clock.hpp"
-#include "util/rng.hpp"
+#include "mac/contention_mac.hpp"
 
 namespace rtmac::mac {
 
@@ -46,63 +42,37 @@ struct FcsmaParams {
   double section_width = 1.0;
 };
 
-/// MacScheme running N FCSMA links (contend, transmit one packet, redraw).
-///
-/// One layout: flat SoA per-link state (RNG stream, window, buffer). Only
-/// the backoff clock depends on the cell's sense views: one
-/// SharedBackoffClock for a complete-sensing domain, otherwise one
-/// BackoffEngine per link on its own sense view (hidden terminals). Both
-/// clocks consume the same per-link RNG streams in the same order.
-class FcsmaScheme final : public MacScheme {
+/// Maps a debt weight to a window size per the section quantisation.
+/// `params` must pass FcsmaWindow's constructor check. Exposed for unit tests.
+[[nodiscard]] int fcsma_window_for_weight(double weight, const FcsmaParams& params);
+
+/// Debt-driven windows: set once per interval from the link's weight, kept
+/// through every retry within it (collision or loss leaves the packet
+/// queued; the link just redraws).
+class FcsmaWindow {
  public:
-  FcsmaScheme(const SchemeContext& ctx, FcsmaParams params, std::string name);
+  using Params = FcsmaParams;
+  static constexpr std::uint64_t kStreamTag = 0xFC500000000ULL;
 
-  void begin_interval(IntervalIndex k, std::span<const int> arrivals,
-                      TimePoint interval_end) override;
-  void end_interval(std::span<int> delivered) override;
-  [[nodiscard]] std::string name() const override { return name_; }
-  [[nodiscard]] std::size_t memory_bytes() const override;
-  [[nodiscard]] std::size_t pending_events_per_link() const override {
-    return clock_ != nullptr ? 1 : 6;
+  /// Throws std::invalid_argument unless the ladder is non-empty, every
+  /// window is >= 1 and section_width > 0.
+  FcsmaWindow(const SchemeContext& ctx, FcsmaParams params);
+
+  [[nodiscard]] int initial_window() const { return 1; }
+  void on_interval(LinkId n, int& window) const {
+    window = fcsma_window_for_weight(params_.influence(debts_.debt_plus(n)) * p_[n], params_);
   }
-
-  /// True when one shared clock drives every countdown (complete sensing).
-  [[nodiscard]] bool batch_path() const { return clock_ != nullptr; }
-
-  /// Contention window link n selected for the current interval
-  /// (diagnostics).
-  [[nodiscard]] int current_window(LinkId n) const { return window_[n]; }
+  void on_outcome(bool /*delivered*/, int& /*window*/) const {}
 
  private:
-  void contend(LinkId n);
-  void on_backoff_expired(LinkId n);
-  void on_tx_done(LinkId n, phy::TxOutcome outcome);
-
   FcsmaParams params_;
-  sim::Simulator& sim_;
-  phy::Medium& medium_;
   const core::DebtTracker& debts_;
   const ProbabilityVector& p_;
-  Duration data_airtime_;
-
-  // Exactly one clock: the shared one, or one engine per link.
-  std::unique_ptr<SharedBackoffClock> clock_;
-  // Built in link order (their listener order); each registered `this` with
-  // the Medium, so they live behind pointers and never move.
-  std::vector<std::unique_ptr<BackoffEngine>> engines_;
-
-  // Per-link state (SoA, indexed by local link id).
-  std::vector<Rng> rng_;
-  std::vector<int> window_;
-  std::vector<int> buffer_;
-  std::vector<int> delivered_;
-  TimePoint interval_end_;
-
-  std::string name_;
 };
 
-/// Maps a debt weight to a window size per the section quantisation.
-/// Exposed for unit tests.
-[[nodiscard]] int fcsma_window_for_weight(double weight, const FcsmaParams& params);
+extern template class ContentionScheme<FcsmaWindow>;
+
+/// MacScheme running N FCSMA links (contend, transmit one packet, redraw).
+using FcsmaScheme = ContentionScheme<FcsmaWindow>;
 
 }  // namespace rtmac::mac

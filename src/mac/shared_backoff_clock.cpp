@@ -96,13 +96,6 @@ void SharedBackoffClock::stop() {
   heap_.clear();
 }
 
-int SharedBackoffClock::elapsed_slots() const {
-  if (!in_interval_) return 0;
-  if (frozen_) return static_cast<int>(elapsed_frozen_);
-  return static_cast<int>(elapsed_at_resume_ +
-                          (sim_.now() - resume_time_).floor_div(slot_));
-}
-
 void SharedBackoffClock::arm_event() {
   const Entry& m = heap_.front();
   event_wall_ = resume_time_ + static_cast<int>(m.deadline - elapsed_at_resume_) * slot_;

@@ -85,10 +85,6 @@ class SharedBackoffClock final : public phy::MediumListener {
   /// way).
   void stop();
 
-  [[nodiscard]] std::size_t armed() const { return heap_.size(); }
-  /// Whole idle slots elapsed since begin_interval (diagnostics).
-  [[nodiscard]] int elapsed_slots() const;
-
   /// Bytes of long-lived storage (the armed heap), for mem gauges.
   [[nodiscard]] std::size_t memory_bytes() const {
     return heap_.capacity() * sizeof(Entry) +

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 #include "helpers/scheme_harness.hpp"
 
@@ -74,6 +75,19 @@ TEST(DcfTest, SaturatedNetworkLosesCapacityToCollisions) {
   }
   EXPECT_LT(total, 20 * 60);
   EXPECT_GT(h.medium().counters().collisions, 0u);
+}
+
+TEST(DcfTest, RejectsWindowsThatCouldFallBelowOne) {
+  SchemeHarness h{{1.0}, phy::PhyParams::video_80211a(), Duration::milliseconds(20), {0.9}};
+  const auto make = [&h](int cw_min, int cw_max) {
+    return DcfScheme{h.context(), DcfParams{.cw_min = cw_min, .cw_max = cw_max}, "DCF"};
+  };
+  EXPECT_THROW(make(0, 1024), std::invalid_argument);
+  EXPECT_THROW(make(-4, 1024), std::invalid_argument);
+  EXPECT_THROW(make(32, 16), std::invalid_argument);
+  // The narrowest legal window always draws 0 and still delivers.
+  auto dcf = make(1, 1);
+  EXPECT_EQ(h.run_interval(dcf, {3}), (std::vector<int>{3}));
 }
 
 TEST(DcfTest, CurrentWindowStartsAtMin) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 
 #include "helpers/scheme_harness.hpp"
 
@@ -54,6 +56,25 @@ TEST(FcsmaWindowTest, CustomSections) {
   EXPECT_EQ(fcsma_window_for_weight(1.9, params), 10);
   EXPECT_EQ(fcsma_window_for_weight(2.0, params), 5);
   EXPECT_EQ(fcsma_window_for_weight(100.0, params), 5);
+}
+
+TEST(FcsmaSchemeTest, RejectsLaddersThatCouldDrawFromAnEmptyWindow) {
+  SchemeHarness h{{1.0}, phy::PhyParams::video_80211a(), Duration::milliseconds(20), {0.9}};
+  const auto make = [&h](std::vector<int> windows, double width) {
+    FcsmaParams params;
+    params.window_sizes = std::move(windows);
+    params.section_width = width;
+    return FcsmaScheme{h.context(), params, "FCSMA"};
+  };
+  EXPECT_THROW(make({}, 1.0), std::invalid_argument);
+  EXPECT_THROW(make({0}, 1.0), std::invalid_argument);
+  EXPECT_THROW(make({128, 64, -1}, 1.0), std::invalid_argument);
+  EXPECT_THROW(make({128, 64}, 0.0), std::invalid_argument);
+  EXPECT_THROW(make({128, 64}, -1.0), std::invalid_argument);
+  EXPECT_THROW(make({128, 64}, std::numeric_limits<double>::quiet_NaN()), std::invalid_argument);
+  // The narrowest legal ladder always draws 0 and still delivers.
+  auto fcsma = make({1}, 1.0);
+  EXPECT_EQ(h.run_interval(fcsma, {3}), (std::vector<int>{3}));
 }
 
 TEST(FcsmaSchemeTest, SingleLinkDeliversWithoutContention) {

@@ -114,11 +114,8 @@ RunRecord run_network(NetworkConfig config, const mac::SchemeFactory& factory,
         // Arena layout (and hence byte accounting) legitimately differs
         // between one cell and many, and the DP batch path is a cell-shape
         // property: clique cells keep complete sensing and take it even
-        // when the one-cell global view cannot. The freeze
-        // diagnostics follow the path (scalar records exact per-link freeze
-        // spans; the batch kernel broadcasts the domain-wide span).
-        "mem.", "mac.dp.batch_path",
-        "mac.freeze_ns", "mac.backoff_freeze_us"};
+        // when the one-cell global view cannot.
+        "mem.", "mac.dp.batch_path"};
     const auto is_shape = [&line](const char* name) {
       return line.find(name) != std::string::npos;
     };
