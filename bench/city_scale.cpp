@@ -1,13 +1,12 @@
 // City-scale sharded-engine benchmark (DESIGN §4i, §4j).
 //
 // Phase 1 — scale: a city_unit_disk_topology of 12500 clusters x 8 links
-// (10^5 links; smoke: 1250 x 8 = 10^4) built through the sparse O(n)
-// unit-disk pipeline. The dense n x n InterferenceGraph is unaffordable at
-// this size, so only a partitioned run (shards >= 1) can take it: the
-// partitioner recovers every cluster as its own cell with small per-cell
-// event heaps and media. Records events/sec and peak RSS.
+// (10^5 links; smoke: 1250 x 8 = 10^4) built through the O(n) unit-disk
+// pipeline and run partitioned: the partitioner recovers every cluster as
+// its own cell with small per-cell event heaps and media. Records
+// events/sec and peak RSS.
 //
-// Phase 2 — speedup: a dense disconnected_cells_topology at 10^4 links
+// Phase 2 — speedup: a disconnected_cells_topology at 10^4 links
 // (625 cells of 16; smoke: 2048 links), timed as one cell over every link
 // (--shards 0) and as 625 cells packed into 4 groups. Identical shape to
 // BENCH_8's phase 2, so the 4-group events/sec gates directly against that
@@ -133,7 +132,7 @@ int main(int argc, char** argv) {
             << static_cast<std::uint64_t>(city.events_per_sec())
             << " events/s, peak RSS " << city_rss_kb << " KB\n";
 
-  // ---- Phase 2: one cell vs 4 groups on the same dense topology -----------
+  // ---- Phase 2: one cell vs 4 groups on the same topology -----------------
   // JSON keys keep their historical names: "legacy" is the one-cell run,
   // "sharded" the 4-group run.
   const std::size_t speedup_links = args.smoke ? 2048 : 10000;
@@ -143,9 +142,9 @@ int main(int argc, char** argv) {
             << kSpeedupCellSize << ", one cell vs 4 groups\n";
 
   const auto speedup_config = [&](std::size_t shards) {
-    auto cfg = control_config(speedup_links, 77);
-    cfg.topology =
-        expfw::disconnected_cells_topology(speedup_links, kSpeedupCellSize);
+    auto cfg = expfw::with_sparse_topology(
+        control_config(speedup_links, 77),
+        expfw::disconnected_cells_topology(speedup_links, kSpeedupCellSize));
     cfg.shards = shards;
     return cfg;
   };

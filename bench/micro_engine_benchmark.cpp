@@ -236,7 +236,7 @@ BENCHMARK(BM_LdfIntervalAllocs);
 net::NetworkConfig contention_config(bool hidden) {
   net::NetworkConfig cfg = expfw::video_symmetric(0.55, 0.9, 1);
   if (!hidden) return cfg;
-  return expfw::with_topology(std::move(cfg), expfw::hidden_cells_topology(20, 10));
+  return expfw::with_sparse_topology(std::move(cfg), expfw::hidden_cells_topology(20, 10));
 }
 void BM_DcfIntervalAllocs(benchmark::State& state, bool hidden) {
   interval_allocs(state, contention_config(hidden), expfw::dcf_factory());
@@ -365,6 +365,39 @@ void BM_AttachMetrics(benchmark::State& state) {
   state.SetLabel("items = links");
 }
 BENCHMARK(BM_AttachMetrics)->Arg(4096)->Unit(benchmark::kMillisecond);
+
+// Network construction over a unit-disk city of 8-link clusters, DCF:
+// topology view, partition, cell media and schemes, arrival kernel. The
+// second argument is `shards`: 0 builds one cell over every link from the
+// whole topology's rows, links / 8 partitions into one cell per cluster.
+// Both must grow as O(links + edges), so time per link stays flat across
+// the sizes. The topology itself is built once, outside the loop.
+void BM_NetworkBuild(benchmark::State& state) {
+  const auto links = static_cast<std::size_t>(state.range(0));
+  net::NetworkConfig cfg = expfw::with_sparse_topology(
+      net::symmetric_network(links, Duration::milliseconds(2),
+                             phy::PhyParams::control_80211a(), 0.7,
+                             traffic::BernoulliArrivals{0.8}, 0.9, 21),
+      expfw::city_unit_disk_topology(links / 8, 8, 22));
+  cfg.shards = static_cast<std::size_t>(state.range(1));
+  for (auto _ : state) {
+    auto net = std::make_unique<net::Network>(cfg.clone(), expfw::dcf_factory());
+    benchmark::DoNotOptimize(net->cell_count());
+    state.PauseTiming();
+    net.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(links));
+  state.SetLabel("items = links");
+}
+BENCHMARK(BM_NetworkBuild)
+    ->Args({4096, 0})
+    ->Args({4096, 4096 / 8})
+    ->Args({16384, 0})
+    ->Args({16384, 16384 / 8})
+    ->Args({65536, 0})
+    ->Args({65536, 65536 / 8})
+    ->Unit(benchmark::kMillisecond);
 
 // One-pass fold of per-cell registries into an export target, the sharded
 // collect path (Network::merge_cell_metrics_into). Each cell holds the

@@ -10,6 +10,7 @@
 // so every scheme clears loads the single-domain network cannot.
 #include <cstdlib>
 #include <iostream>
+#include <utility>
 
 #include "expfw/figure_bench.hpp"
 #include "expfw/scenarios.hpp"
@@ -55,8 +56,8 @@ int main(int argc, char** argv) {
         auto cfg = net::symmetric_network(kNumLinks, Duration::milliseconds(2),
                                           phy::PhyParams::control_80211a(), 0.7,
                                           traffic::BernoulliArrivals{l}, 0.99, 2311);
-        cfg.topology = expfw::disconnected_cells_topology(kNumLinks, kCellSize);
-        return cfg;
+        return expfw::with_sparse_topology(
+            std::move(cfg), expfw::disconnected_cells_topology(kNumLinks, kCellSize));
       },
       grid, args);
 

@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
   const auto hidden = expfw::run_figure_sweep(
       std::cout, spec,
       [](double l) {
-        return expfw::with_topology(expfw::control_symmetric(l, 0.99, 1011),
-                                    expfw::hidden_cells_topology(10, 5));
+        return expfw::with_sparse_topology(expfw::control_symmetric(l, 0.99, 1011),
+                                           expfw::hidden_cells_topology(10, 5));
       },
       grid, args);
 

@@ -1,7 +1,9 @@
 #include "expfw/scenarios.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "mac/centralized_scheduler.hpp"
 #include "mac/priority_provider.hpp"
@@ -52,31 +54,56 @@ net::NetworkConfig control_symmetric(double lambda, double rho, std::uint64_t se
                                 traffic::BernoulliArrivals{lambda}, rho, seed);
 }
 
-phy::InterferenceGraph hidden_terminal_pair() {
+phy::SparseTopology hidden_terminal_pair() {
   // Links 0 and 1 conflict but cannot hear each other.
-  return phy::InterferenceGraph::from_lists(2, /*conflict_lists=*/{{1}, {0}},
-                                            /*sense_lists=*/{{}, {}});
+  return phy::SparseTopology{2, /*conflict=*/{{1}, {0}}, /*sense=*/{{}, {}}};
 }
 
-phy::InterferenceGraph hidden_cells_topology(std::size_t num_links, std::size_t cell_size) {
+namespace {
+
+/// An empty topology over `num_links` links.
+phy::SparseTopology no_relations(std::size_t num_links) {
+  return phy::SparseTopology{num_links, std::vector<std::vector<LinkId>>(num_links),
+                             std::vector<std::vector<LinkId>>(num_links)};
+}
+
+/// Conflict AND sense complete within consecutive blocks of `cell_size`
+/// links (the last block may be shorter), nothing across blocks. Built per
+/// block, so the cost is the edge count.
+phy::SparseTopology clique_cells(std::size_t num_links, std::size_t cell_size) {
+  phy::SparseTopology topo = no_relations(num_links);
+  for (std::size_t first = 0; first < num_links; first += cell_size) {
+    const std::size_t last = std::min(first + cell_size, num_links);
+    for (std::size_t a = first; a < last; ++a) {
+      for (std::size_t b = first; b < last; ++b) {
+        if (a == b) continue;
+        topo.conflict[a].push_back(static_cast<LinkId>(b));
+        topo.sense[a].push_back(static_cast<LinkId>(b));
+      }
+    }
+  }
+  return topo;
+}
+
+}  // namespace
+
+phy::SparseTopology hidden_cells_topology(std::size_t num_links, std::size_t cell_size) {
   RTMAC_REQUIRE(num_links >= 1 && cell_size >= 1);
-  std::vector<std::vector<LinkId>> conflict(num_links);
-  std::vector<std::vector<LinkId>> sense(num_links);
+  phy::SparseTopology topo = no_relations(num_links);
   for (std::size_t a = 0; a < num_links; ++a) {
     for (std::size_t b = 0; b < num_links; ++b) {
       if (a == b) continue;
-      conflict[a].push_back(static_cast<LinkId>(b));
-      if (a / cell_size == b / cell_size) sense[a].push_back(static_cast<LinkId>(b));
+      topo.conflict[a].push_back(static_cast<LinkId>(b));
+      if (a / cell_size == b / cell_size) topo.sense[a].push_back(static_cast<LinkId>(b));
     }
   }
-  return phy::InterferenceGraph::from_lists(num_links, conflict, sense);
+  return topo;
 }
 
-phy::InterferenceGraph two_cell_topology(std::size_t cell_size, std::size_t boundary_links) {
+phy::SparseTopology two_cell_topology(std::size_t cell_size, std::size_t boundary_links) {
   RTMAC_REQUIRE(cell_size >= 1 && boundary_links <= cell_size);
   const std::size_t n = 2 * cell_size;
-  std::vector<std::vector<LinkId>> conflict(n);
-  std::vector<std::vector<LinkId>> sense(n);
+  phy::SparseTopology topo = no_relations(n);
   // The last `boundary_links` of each cell sit near the border.
   const auto is_boundary = [&](std::size_t i) {
     return i % cell_size >= cell_size - boundary_links;
@@ -86,27 +113,17 @@ phy::InterferenceGraph two_cell_topology(std::size_t cell_size, std::size_t boun
       if (a == b) continue;
       const bool same_cell = a / cell_size == b / cell_size;
       if (same_cell || (is_boundary(a) && is_boundary(b))) {
-        conflict[a].push_back(static_cast<LinkId>(b));
-        sense[a].push_back(static_cast<LinkId>(b));
+        topo.conflict[a].push_back(static_cast<LinkId>(b));
+        topo.sense[a].push_back(static_cast<LinkId>(b));
       }
     }
   }
-  return phy::InterferenceGraph::from_lists(n, conflict, sense);
+  return topo;
 }
 
-phy::InterferenceGraph disconnected_cells_topology(std::size_t num_links,
-                                                   std::size_t cell_size) {
+phy::SparseTopology disconnected_cells_topology(std::size_t num_links, std::size_t cell_size) {
   RTMAC_REQUIRE(num_links >= 1 && cell_size >= 1);
-  std::vector<std::vector<LinkId>> conflict(num_links);
-  std::vector<std::vector<LinkId>> sense(num_links);
-  for (std::size_t a = 0; a < num_links; ++a) {
-    for (std::size_t b = 0; b < num_links; ++b) {
-      if (a == b || a / cell_size != b / cell_size) continue;
-      conflict[a].push_back(static_cast<LinkId>(b));
-      sense[a].push_back(static_cast<LinkId>(b));
-    }
-  }
-  return phy::InterferenceGraph::from_lists(num_links, conflict, sense);
+  return clique_cells(num_links, cell_size);
 }
 
 phy::SparseTopology city_unit_disk_topology(std::size_t num_cells, std::size_t links_per_cell,
@@ -140,17 +157,7 @@ phy::SparseTopology city_unit_disk_topology(std::size_t num_cells, std::size_t l
 
 phy::SparseTopology chain_cells_topology(std::size_t num_cells, std::size_t cell_size) {
   RTMAC_REQUIRE(num_cells >= 1 && cell_size >= 1);
-  phy::SparseTopology topo;
-  topo.num_links = num_cells * cell_size;
-  topo.conflict.resize(topo.num_links);
-  topo.sense.resize(topo.num_links);
-  for (std::size_t a = 0; a < topo.num_links; ++a) {
-    for (std::size_t b = 0; b < topo.num_links; ++b) {
-      if (a == b || a / cell_size != b / cell_size) continue;
-      topo.conflict[a].push_back(static_cast<LinkId>(b));
-      topo.sense[a].push_back(static_cast<LinkId>(b));
-    }
-  }
+  phy::SparseTopology topo = clique_cells(num_cells * cell_size, cell_size);
   // Hidden-terminal boundary pairs: conflict-only, never sensed, and added
   // in ascending order relative to the intra-cell neighbors above.
   for (std::size_t c = 0; c + 1 < num_cells; ++c) {
@@ -160,12 +167,6 @@ phy::SparseTopology chain_cells_topology(std::size_t num_cells, std::size_t cell
     topo.conflict[first].insert(topo.conflict[first].begin(), last);
   }
   return topo;
-}
-
-net::NetworkConfig with_topology(net::NetworkConfig cfg, phy::InterferenceGraph topology) {
-  RTMAC_REQUIRE(topology.num_links() == cfg.num_links());
-  cfg.topology = std::move(topology);
-  return cfg;
 }
 
 net::NetworkConfig with_sparse_topology(net::NetworkConfig cfg, phy::SparseTopology topology) {

@@ -62,16 +62,17 @@ inline constexpr double kPaperR = 10.0;
 
 // ---- Interference topologies ------------------------------------------------
 //
-// The paper's experiments all run on the complete collision domain (the
-// Medium's default, equivalent to `phy::InterferenceGraph::complete(n)`).
-// These builders cover the partial-interference regimes the refactored
-// Medium opens up; attach one with `with_topology`.
+// The paper's experiments all run on the complete collision domain (a
+// config without a topology). These builders return adjacency lists
+// (`phy::SparseTopology`, normalized) for the partial-interference regimes
+// the Medium opens up; attach one with `with_sparse_topology`. Every builder
+// costs O(links + edges).
 
 /// The textbook hidden-terminal pair: two links whose transmissions destroy
 /// each other (both share the receiver's neighborhood) but whose
 /// transmitters are out of carrier-sense range. Listen-before-talk never
 /// sees the other link, so every temporal overlap collides.
-[[nodiscard]] phy::InterferenceGraph hidden_terminal_pair();
+[[nodiscard]] phy::SparseTopology hidden_terminal_pair();
 
 /// Generalized hidden terminals for `num_links` links in cells of
 /// `cell_size`: every pair of links conflicts (one shared channel at the
@@ -79,8 +80,8 @@ inline constexpr double kPaperR = 10.0;
 /// transmissions are invisible to the backoff engines — with one cell this
 /// is exactly the complete graph; with more it scales the hidden-terminal
 /// pair up to whole groups.
-[[nodiscard]] phy::InterferenceGraph hidden_cells_topology(std::size_t num_links,
-                                                           std::size_t cell_size);
+[[nodiscard]] phy::SparseTopology hidden_cells_topology(std::size_t num_links,
+                                                        std::size_t cell_size);
 
 /// Two spatially separated cells of `cell_size` links each with
 /// `boundary_links` per cell near the border. Links interact (conflict AND
@@ -88,8 +89,8 @@ inline constexpr double kPaperR = 10.0;
 /// also conflict with and sense the other cell's boundary links. Interior
 /// links of different cells are fully independent — the spatial-reuse
 /// regime where two transmissions can genuinely succeed at once.
-[[nodiscard]] phy::InterferenceGraph two_cell_topology(std::size_t cell_size,
-                                                       std::size_t boundary_links);
+[[nodiscard]] phy::SparseTopology two_cell_topology(std::size_t cell_size,
+                                                    std::size_t boundary_links);
 
 /// Fully disconnected cells: links interact (conflict AND sense, complete
 /// within the cell) only with the other links of their own cell of
@@ -97,15 +98,15 @@ inline constexpr double kPaperR = 10.0;
 /// sharding benchmark topology — the partitioner recovers the cells exactly
 /// and the cut sets are empty, so sharded results are byte-identical to the
 /// one-cell run by construction.
-[[nodiscard]] phy::InterferenceGraph disconnected_cells_topology(std::size_t num_links,
-                                                                 std::size_t cell_size);
+[[nodiscard]] phy::SparseTopology disconnected_cells_topology(std::size_t num_links,
+                                                              std::size_t cell_size);
 
 /// City-scale unit-disk placement: `num_cells` clusters on a widely spaced
 /// grid, `links_per_cell` links jittered around each cluster center
 /// (deterministic in `seed`). Ranges are chosen so each cluster is one
 /// collision domain and clusters never interact — expected O(n)
-/// construction via the grid-bucketed sparse builder, usable at 10^5-10^6
-/// links where the dense InterferenceGraph cannot be materialized.
+/// construction via the grid-bucketed unit-disk builder, usable at
+/// 10^5-10^6 links.
 [[nodiscard]] phy::SparseTopology city_unit_disk_topology(std::size_t num_cells,
                                                           std::size_t links_per_cell,
                                                           std::uint64_t seed);
@@ -120,13 +121,8 @@ inline constexpr double kPaperR = 10.0;
 [[nodiscard]] phy::SparseTopology chain_cells_topology(std::size_t num_cells,
                                                        std::size_t cell_size);
 
-/// Returns `cfg` with the interference topology replaced. The graph's size
-/// must match cfg.num_links().
-[[nodiscard]] net::NetworkConfig with_topology(net::NetworkConfig cfg,
-                                               phy::InterferenceGraph topology);
-
-/// Returns `cfg` with a sparse (adjacency-list) topology attached; requires
-/// cfg.shards >= 1.
+/// Returns `cfg` with `topology` attached (shared, immutable). Its size must
+/// match cfg.num_links(); any `shards` value runs it.
 [[nodiscard]] net::NetworkConfig with_sparse_topology(net::NetworkConfig cfg,
                                                       phy::SparseTopology topology);
 

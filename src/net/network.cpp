@@ -193,29 +193,16 @@ NetworkConfig validated(NetworkConfig config) {
 }
 
 /// How `config`'s links are cut into cells: one cell over every link unless
-/// sharding was requested on an explicit topology, which is then partitioned.
+/// sharding was requested on an explicit topology, which is then partitioned
+/// straight from its lists (no copy: a 10^6-link topology's adjacency is
+/// hundreds of MB). No topology is the complete collision domain: one
+/// clique cell.
 sim::ShardPlan plan_cells(const NetworkConfig& config) {
-  const std::size_t n = config.num_links();
-  if (config.shards == 0) return sim::single_cell_plan(n);
-  // Partition from the sparse lists in place — a 10^6-link topology's
-  // adjacency is hundreds of MB, so no deep copy on this path.
-  if (config.sparse_topology != nullptr) {
-    return sim::partition_topology(config.sparse_topology->conflict,
-                                   config.sparse_topology->sense, config.shards);
+  if (config.shards == 0 || config.sparse_topology == nullptr) {
+    return sim::single_cell_plan(config.num_links());
   }
-  // No topology is the complete collision domain: one clique cell.
-  if (!config.topology.has_value()) return sim::single_cell_plan(n);
-  const phy::InterferenceGraph& g = *config.topology;
-  sim::AdjacencyLists conflict(n);
-  sim::AdjacencyLists sense(n);
-  for (LinkId a = 0; a < n; ++a) {
-    for (LinkId b = 0; b < n; ++b) {
-      if (a == b) continue;
-      if (g.conflicts(a, b)) conflict[a].push_back(b);
-      if (g.senses(a, b)) sense[a].push_back(b);
-    }
-  }
-  return sim::partition_topology(conflict, sense, config.shards);
+  return sim::partition_topology(config.sparse_topology->conflict,
+                                 config.sparse_topology->sense, config.shards);
 }
 
 }  // namespace
@@ -313,22 +300,14 @@ void Network::build_cells(const mac::SchemeFactory& scheme_factory) {
     } else {
       channel = std::make_unique<phy::StaticChannel>(cell->success_prob);
     }
-    if (config_.sparse_topology != nullptr) {
-      cell->medium = std::make_unique<phy::Medium>(
-          cell->sim, std::move(channel),
-          phy::induced_subgraph(*config_.sparse_topology, cell->links, flags), config_.seed,
-          &arena_);
-    } else if (config_.topology.has_value()) {
-      // A lone cell is the whole graph; skip the O(n^2) induced copy.
-      cell->medium = std::make_unique<phy::Medium>(
-          cell->sim, std::move(channel),
-          num_cells == 1 ? *config_.topology : config_.topology->induced(cell->links, flags),
-          config_.seed, &arena_);
-    } else {
-      // No topology: the paper's complete collision domain.
-      cell->medium =
-          std::make_unique<phy::Medium>(cell->sim, std::move(channel), config_.seed, &arena_);
-    }
+    // The cell's view of the topology, or the paper's complete collision
+    // domain when there is none.
+    phy::InterferenceGraph graph =
+        config_.sparse_topology != nullptr
+            ? phy::InterferenceGraph::induced(*config_.sparse_topology, cell->links, flags)
+            : phy::InterferenceGraph::complete(links.size());
+    cell->medium = std::make_unique<phy::Medium>(cell->sim, std::move(channel), std::move(graph),
+                                                 config_.seed, &arena_);
 
     // A lone cell spans the network: its local ids are the global ids and
     // nothing is cut, so its Medium keeps the plain single-domain setup

@@ -1,5 +1,6 @@
 #include "net/network_config.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -37,13 +38,18 @@ bool NetworkConfig::validate(std::string* error) const {
   } else {
     return fail("no arrival specification (arrivals, uniform_arrivals, or joint_arrivals)");
   }
-  if (topology.has_value() && topology->num_links() != n) {
-    return fail("interference topology size != number of links");
-  }
   if (sparse_topology != nullptr) {
-    if (topology.has_value()) return fail("topology and sparse_topology are mutually exclusive");
-    if (sparse_topology->num_links != n) return fail("sparse topology size != number of links");
-    if (shards == 0) return fail("sparse_topology requires shards >= 1");
+    if (sparse_topology->num_links != n) return fail("topology size != number of links");
+    if (sparse_topology->conflict.size() != n || sparse_topology->sense.size() != n) {
+      return fail("topology needs one conflict and one sense list per link");
+    }
+    for (const auto* lists : {&sparse_topology->conflict, &sparse_topology->sense}) {
+      for (const std::vector<LinkId>& list : *lists) {
+        if (std::any_of(list.begin(), list.end(), [n](LinkId l) { return l >= n; })) {
+          return fail("topology names an unknown link");
+        }
+      }
+    }
   }
   if (shards > 0 && channel_factory != nullptr) {
     return fail("sharded execution requires the default Bernoulli channel");
@@ -84,7 +90,6 @@ NetworkConfig NetworkConfig::clone() const {
   copy.seed = seed;
   copy.channel_factory = channel_factory;
   if (joint_arrivals != nullptr) copy.joint_arrivals = joint_arrivals->clone();
-  copy.topology = topology;
   copy.sparse_topology = sparse_topology;  // immutable, shared
   copy.shards = shards;
   copy.shard_jobs = shard_jobs;

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/requirements.hpp"
@@ -45,16 +44,13 @@ struct NetworkConfig {
   /// replaces the per-link `arrivals` sampling; `requirements.lambda` must
   /// match its per-link means.
   std::unique_ptr<traffic::JointArrivalProcess> joint_arrivals;
-  /// Optional interference topology. When unset, the Medium uses the
-  /// paper's complete collision domain (every pair of links conflicts and
-  /// every device hears every transmission). A partial graph enables
-  /// hidden-terminal and spatial-reuse experiments; its size must equal
-  /// num_links().
-  std::optional<phy::InterferenceGraph> topology;
-  /// Adjacency-list topology for city-scale runs where the dense n x n
-  /// InterferenceGraph is unaffordable. Requires `shards >= 1` (the
-  /// partitioner builds small dense graphs per cell); mutually exclusive with
-  /// `topology`. Shared (immutable) across clones.
+  /// Optional interference topology (adjacency lists). When null, the
+  /// Medium uses the paper's complete collision domain (every pair of links
+  /// conflicts and every device hears every transmission). A partial
+  /// topology enables hidden-terminal, spatial-reuse and city-scale
+  /// experiments at any `shards` value; it needs one conflict and one sense
+  /// list per link, naming only links < num_links(). Immutable and shared
+  /// across clones.
   std::shared_ptr<const phy::SparseTopology> sparse_topology;
   /// Cell partitioning: 0 = one cell over every link, no partitioning;
   /// S >= 1 partitions the conflict graph of an explicit topology into cells

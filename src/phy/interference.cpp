@@ -4,67 +4,138 @@
 #include <cmath>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 
 #include "util/check.hpp"
 
 namespace rtmac::phy {
 
-InterferenceGraph::InterferenceGraph(std::size_t n, std::vector<bool> conflict,
-                                     std::vector<bool> sense)
-    : n_{n}, conflict_{std::move(conflict)}, sense_{std::move(sense)} {
-  RTMAC_ASSERT(n_ >= 1);
-  RTMAC_ASSERT(conflict_.size() == n_ * n_ && sense_.size() == n_ * n_);
-  finalize();
+namespace {
+
+/// Rows over `k` nodes from the off-diagonal entries `emit(add)` reports as
+/// add(row, column); `emit` runs twice (count, then fill). Every row also
+/// gets its diagonal entry, then is sorted and deduplicated — the one place
+/// list input is normalized.
+template <typename Emit>
+CsrRows build_rows(std::size_t k, const Emit& emit) {
+  std::vector<std::uint32_t> fill(k, 1);  // the diagonal entry
+  emit([&fill](std::size_t r, LinkId) { ++fill[r]; });
+  CsrRows rows;
+  rows.offsets.assign(k + 1, 0);
+  for (std::size_t r = 0; r < k; ++r) rows.offsets[r + 1] = rows.offsets[r] + fill[r];
+  rows.columns.resize(rows.offsets[k]);
+  for (std::size_t r = 0; r < k; ++r) {
+    rows.columns[rows.offsets[r]] = static_cast<LinkId>(r);
+    fill[r] = rows.offsets[r] + 1;
+  }
+  emit([&](std::size_t r, LinkId c) { rows.columns[fill[r]++] = c; });
+  // Sort and deduplicate each row, compacting in place.
+  std::uint32_t out = 0;
+  for (std::size_t r = 0; r < k; ++r) {
+    const auto first = rows.columns.begin() + rows.offsets[r];
+    const auto last = rows.columns.begin() + rows.offsets[r + 1];
+    std::sort(first, last);
+    const auto end = std::unique(first, last);
+    rows.offsets[r] = out;
+    for (auto it = first; it != end; ++it) rows.columns[out++] = *it;
+  }
+  rows.offsets[k] = out;
+  rows.columns.resize(out);
+  return rows;
 }
 
-void InterferenceGraph::finalize() {
-  for (LinkId a = 0; a < n_; ++a) {
-    conflict_[idx(a, a)] = true;
-    sense_[idx(a, a)] = true;
-    for (LinkId b = 0; b < a; ++b) {
-      // Conflict is symmetric by model definition: a collision fails every
-      // participant, so either direction listed implies both.
-      const bool c = conflict_[idx(a, b)] || conflict_[idx(b, a)];
-      conflict_[idx(a, b)] = c;
-      conflict_[idx(b, a)] = c;
+/// The view of `topology` over `k` local links: local link a is global link
+/// global_of(a); local_of(g) maps back, returning k for links outside the
+/// set.
+template <typename GlobalOf, typename LocalOf>
+std::pair<CsrRows, CsrRows> topology_rows(const SparseTopology& topology, std::size_t k,
+                                          const GlobalOf& global_of, const LocalOf& local_of) {
+  CsrRows conflict = build_rows(k, [&](const auto& add) {
+    for (std::size_t a = 0; a < k; ++a) {
+      for (LinkId partner : topology.conflict[global_of(a)]) {
+        const std::size_t b = local_of(partner);
+        if (b >= k || b == a) continue;
+        // Either direction listed conflicts both.
+        add(a, static_cast<LinkId>(b));
+        add(b, static_cast<LinkId>(a));
+      }
     }
-  }
-  sensed_by_.assign(n_, {});
-  complete_conflicts_ = true;
-  complete_sensing_ = true;
-  for (LinkId link = 0; link < n_; ++link) {
-    for (LinkId node = 0; node < n_; ++node) {
-      if (sense_[idx(node, link)]) sensed_by_[link].push_back(node);
-      complete_sensing_ = complete_sensing_ && sense_[idx(node, link)];
-      complete_conflicts_ = complete_conflicts_ && conflict_[idx(node, link)];
+  });
+  CsrRows sensed_by = build_rows(k, [&](const auto& add) {
+    for (std::size_t node = 0; node < k; ++node) {
+      for (LinkId heard : topology.sense[global_of(node)]) {
+        const std::size_t l = local_of(heard);
+        if (l < k && l != node) add(l, static_cast<LinkId>(node));
+      }
     }
-  }
+  });
+  return {std::move(conflict), std::move(sensed_by)};
 }
+
+/// The whole topology's rows, after checking its shape.
+std::pair<CsrRows, CsrRows> whole_rows(const SparseTopology& topology) {
+  const std::size_t n = topology.num_links;
+  RTMAC_REQUIRE(n >= 1);
+  RTMAC_REQUIRE(topology.conflict.size() == n && topology.sense.size() == n,
+                "topology needs one conflict and one sense list per link");
+  const auto identity = [n](LinkId g) -> std::size_t {
+    RTMAC_REQUIRE(g < n, "topology names an unknown link");
+    return g;
+  };
+  return topology_rows(topology, n, [](std::size_t a) { return a; }, identity);
+}
+
+}  // namespace
+
+InterferenceGraph::InterferenceGraph(std::size_t n, std::pair<CsrRows, CsrRows> rows)
+    : n_{n}, conflict_{std::move(rows.first)}, sensed_by_{std::move(rows.second)} {
+  RTMAC_ASSERT(n_ >= 1);
+  // Rows are deduplicated and bounded by n, so n * n entries means every
+  // row is full.
+  complete_conflicts_ = conflict_.columns.size() == n_ * n_;
+  complete_sensing_ = sensed_by_.columns.size() == n_ * n_;
+}
+
+InterferenceGraph::InterferenceGraph(const SparseTopology& topology)
+    : InterferenceGraph{topology.num_links, whole_rows(topology)} {}
 
 InterferenceGraph InterferenceGraph::complete(std::size_t num_links) {
   RTMAC_REQUIRE(num_links >= 1);
-  return InterferenceGraph{num_links, std::vector<bool>(num_links * num_links, true),
-                           std::vector<bool>(num_links * num_links, true)};
+  const auto all_pairs = [num_links](const auto& add) {
+    for (std::size_t a = 0; a < num_links; ++a) {
+      for (std::size_t b = 0; b < num_links; ++b) {
+        if (a != b) add(a, static_cast<LinkId>(b));
+      }
+    }
+  };
+  return InterferenceGraph{num_links,
+                           {build_rows(num_links, all_pairs), build_rows(num_links, all_pairs)}};
 }
 
-InterferenceGraph InterferenceGraph::from_lists(
-    std::size_t num_links, const std::vector<std::vector<LinkId>>& conflict_lists,
-    const std::vector<std::vector<LinkId>>& sense_lists) {
-  RTMAC_REQUIRE(num_links >= 1);
-  RTMAC_REQUIRE(conflict_lists.size() == num_links && sense_lists.size() == num_links);
-  std::vector<bool> conflict(num_links * num_links, false);
-  std::vector<bool> sense(num_links * num_links, false);
-  for (LinkId a = 0; a < num_links; ++a) {
-    for (LinkId b : conflict_lists[a]) {
-      RTMAC_REQUIRE(b < num_links, "conflict list names an unknown link");
-      conflict[static_cast<std::size_t>(a) * num_links + b] = true;
-    }
-    for (LinkId l : sense_lists[a]) {
-      RTMAC_REQUIRE(l < num_links, "sense list names an unknown link");
-      sense[static_cast<std::size_t>(a) * num_links + l] = true;
-    }
+InterferenceGraph InterferenceGraph::induced(const SparseTopology& topology,
+                                             std::span<const LinkId> links,
+                                             SubgraphFlags flags) {
+  const std::size_t k = links.size();
+  RTMAC_REQUIRE(k >= 1, "induced subgraph needs at least one link");
+  for (std::size_t i = 0; i < k; ++i) {
+    RTMAC_REQUIRE(links[i] < topology.num_links, "induced subgraph names an unknown link");
+    RTMAC_REQUIRE(i == 0 || links[i - 1] < links[i], "induced subgraph links must ascend");
   }
-  return InterferenceGraph{num_links, std::move(conflict), std::move(sense)};
+  // Ascending distinct ids below num_links: a full set is exactly 0..k-1.
+  const bool every_link = k == topology.num_links;
+  const auto local_of = [links, k, every_link](LinkId global) -> std::size_t {
+    if (every_link) return global;
+    const auto it = std::lower_bound(links.begin(), links.end(), global);
+    return (it != links.end() && *it == global) ? static_cast<std::size_t>(it - links.begin())
+                                                : k;
+  };
+  InterferenceGraph g{
+      k, topology_rows(topology, k, [links](std::size_t a) { return links[a]; }, local_of)};
+  if (flags == SubgraphFlags::kClearCompleteness) {
+    g.complete_conflicts_ = false;
+    g.complete_sensing_ = false;
+  }
+  return g;
 }
 
 namespace {
@@ -74,52 +145,6 @@ double dist2(InterferenceGraph::Point a, InterferenceGraph::Point b) {
   const double dy = a.y - b.y;
   return dx * dx + dy * dy;
 }
-
-}  // namespace
-
-InterferenceGraph InterferenceGraph::unit_disk(const std::vector<LinkPlacement>& links,
-                                               double interference_range,
-                                               double sense_range) {
-  const std::size_t n = links.size();
-  RTMAC_REQUIRE(n >= 1);
-  RTMAC_REQUIRE(interference_range >= 0.0 && sense_range >= 0.0);
-  const double ir2 = interference_range * interference_range;
-  const double sr2 = sense_range * sense_range;
-  std::vector<bool> conflict(n * n, false);
-  std::vector<bool> sense(n * n, false);
-  for (LinkId a = 0; a < n; ++a) {
-    for (LinkId b = 0; b < n; ++b) {
-      // A transmitter close enough to the other link's receiver corrupts it.
-      conflict[static_cast<std::size_t>(a) * n + b] =
-          dist2(links[a].tx, links[b].rx) <= ir2 || dist2(links[b].tx, links[a].rx) <= ir2;
-      sense[static_cast<std::size_t>(a) * n + b] = dist2(links[a].tx, links[b].tx) <= sr2;
-    }
-  }
-  return InterferenceGraph{n, std::move(conflict), std::move(sense)};
-}
-
-InterferenceGraph InterferenceGraph::induced(std::span<const LinkId> links,
-                                             SubgraphFlags flags) const {
-  const std::size_t k = links.size();
-  RTMAC_REQUIRE(k >= 1, "induced subgraph needs at least one link");
-  std::vector<bool> conflict(k * k, false);
-  std::vector<bool> sense(k * k, false);
-  for (std::size_t a = 0; a < k; ++a) {
-    RTMAC_REQUIRE(links[a] < n_, "induced subgraph names an unknown link");
-    for (std::size_t b = 0; b < k; ++b) {
-      conflict[a * k + b] = conflicts(links[a], links[b]);
-      sense[a * k + b] = senses(links[a], links[b]);
-    }
-  }
-  InterferenceGraph g{k, std::move(conflict), std::move(sense)};
-  if (flags == SubgraphFlags::kClearCompleteness) {
-    g.complete_conflicts_ = false;
-    g.complete_sensing_ = false;
-  }
-  return g;
-}
-
-namespace {
 
 /// Packs a 2D grid coordinate into a hashable key.
 std::int64_t grid_key(std::int64_t ix, std::int64_t iy) {
@@ -143,14 +168,16 @@ SparseTopology sparse_unit_disk(const std::vector<InterferenceGraph::LinkPlaceme
   // Neighbor search radius: two links can only be related when their
   // transmitters are within max(sense_range, interference_range + longest
   // tx->rx extent) of each other, so bucketing transmitters on a grid of
-  // that pitch makes a 3x3 neighborhood scan exhaustive.
+  // that pitch makes a 3x3 neighborhood scan exhaustive. The pitch is
+  // padded by a relative 1e-9 so a pair exactly at the reach cannot land
+  // two buckets apart through rounding in v / pitch.
   double max_extent2 = 0.0;
   for (const auto& link : links) {
     max_extent2 = std::max(max_extent2, dist2(link.tx, link.rx));
   }
   const double reach =
       std::max(sense_range, interference_range + std::sqrt(max_extent2));
-  const double pitch = std::max(reach, 1e-9);
+  const double pitch = std::max(reach * (1.0 + 1e-9), 1e-9);
 
   std::unordered_map<std::int64_t, std::vector<LinkId>> buckets;
   buckets.reserve(n);
@@ -188,38 +215,6 @@ SparseTopology sparse_unit_disk(const std::vector<InterferenceGraph::LinkPlaceme
   for (auto& list : out.conflict) std::sort(list.begin(), list.end());
   for (auto& list : out.sense) std::sort(list.begin(), list.end());
   return out;
-}
-
-InterferenceGraph induced_subgraph(const SparseTopology& topology,
-                                   std::span<const LinkId> links,
-                                   InterferenceGraph::SubgraphFlags flags) {
-  const std::size_t k = links.size();
-  RTMAC_REQUIRE(k >= 1, "induced subgraph needs at least one link");
-  const auto local_of = [&](LinkId global) -> std::size_t {
-    const auto it = std::lower_bound(links.begin(), links.end(), global);
-    return (it != links.end() && *it == global)
-               ? static_cast<std::size_t>(it - links.begin())
-               : k;
-  };
-  std::vector<bool> conflict(k * k, false);
-  std::vector<bool> sense(k * k, false);
-  for (std::size_t a = 0; a < k; ++a) {
-    RTMAC_REQUIRE(links[a] < topology.num_links, "induced subgraph names an unknown link");
-    for (LinkId partner : topology.conflict[links[a]]) {
-      const std::size_t b = local_of(partner);
-      if (b < k) conflict[a * k + b] = true;
-    }
-    for (LinkId heard : topology.sense[links[a]]) {
-      const std::size_t b = local_of(heard);
-      if (b < k) sense[a * k + b] = true;
-    }
-  }
-  InterferenceGraph g{k, std::move(conflict), std::move(sense)};
-  if (flags == InterferenceGraph::SubgraphFlags::kClearCompleteness) {
-    g.complete_conflicts_ = false;
-    g.complete_sensing_ = false;
-  }
-  return g;
 }
 
 }  // namespace rtmac::phy

@@ -78,36 +78,14 @@ void Medium::init_link_state() {
   link_counters_ = arena_->make_span<LinkCounters>(n);
   views_ = arena_->make_span<SenseView>(n);
   marks_ = arena_->make_span<std::uint8_t>(n + 1);
-  if (graph_.complete_conflicts()) {
-    // Every pair can collide; the dense matrix is exactly the CSR payload
-    // without the offsets. Complete graphs are the paper's small cells, so
-    // n^2 here is cheap.
-    pair_dense_ = arena_->make_span<std::uint64_t>(n * n);
-    return;
-  }
-  // CSR over the conflict adjacency ({a} + conflicts(a) per row, ascending —
-  // the diagonal is forced true, so self collisions always have a cell).
-  std::size_t entries = 0;
-  for (LinkId a = 0; a < n; ++a) {
-    for (LinkId b = 0; b < n; ++b) entries += graph_.conflicts(a, b) ? 1 : 0;
-  }
-  pair_row_ = arena_->make_span<std::uint32_t>(n + 1);
-  pair_col_ = arena_->make_span<LinkId>(entries);
-  pair_count_ = arena_->make_span<std::uint64_t>(entries);
-  std::uint32_t at = 0;
-  for (LinkId a = 0; a < n; ++a) {
-    pair_row_[a] = at;
-    for (LinkId b = 0; b < n; ++b) {
-      if (graph_.conflicts(a, b)) pair_col_[at++] = b;
-    }
-  }
-  pair_row_[n] = at;
+  // One counter per conflict-row entry ({a} + conflicts(a) per row — the
+  // diagonal is forced, so self collisions always have a cell).
+  pair_count_ = arena_->make_span<std::uint64_t>(graph_.conflict_rows().columns.size());
 }
 
 std::size_t Medium::memory_bytes() const {
   return link_counters_.size_bytes() + views_.size_bytes() + marks_.size_bytes() +
-         pair_dense_.size_bytes() + pair_row_.size_bytes() + pair_col_.size_bytes() +
-         pair_count_.size_bytes() + loss_rngs_.capacity() * sizeof(Rng) +
+         pair_count_.size_bytes() + graph_.memory_bytes() + loss_rngs_.capacity() * sizeof(Rng) +
          active_.capacity() * sizeof(ActiveTx) + listeners_.capacity() * sizeof(ListenerEntry) +
          outbox_.capacity() * sizeof(CutTxExport) +
          shard_.global_ids.capacity() * sizeof(LinkId) + shard_.conflict_cut.capacity() +
@@ -232,7 +210,7 @@ void Medium::set_metrics(obs::MetricsRegistry* registry) {
 
 void Medium::mark_transitions(LinkId link, bool to_busy, TimePoint now) {
   const std::size_t n = num_links();
-  const std::vector<LinkId>& sensing = graph_.sensed_by(link);
+  const std::span<const LinkId> sensing = graph_.sensed_by(link);
   // The global view behaves like a node that senses every link.
   for (std::size_t i = 0; i <= sensing.size(); ++i) {
     const bool is_global = (i == sensing.size());

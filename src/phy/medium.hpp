@@ -239,46 +239,32 @@ class Medium {
 
   /// Number of pairwise collision events between links a and b (each
   /// conflicting overlap of one transmission pair counts once, symmetric).
-  /// Dense n x n storage only when every pair conflicts (the paper's small
-  /// complete graphs); partial topologies use a CSR ledger over the conflict
-  /// adjacency — non-conflicting pairs can never collide, so their count is
-  /// identically zero and needs no cell.
+  /// The ledger is one counter per entry of the topology's conflict rows —
+  /// non-conflicting pairs can never collide, so their count is identically
+  /// zero and needs no cell.
   [[nodiscard]] std::uint64_t collision_pair_count(LinkId a, LinkId b) const {
-    if (!pair_dense_.empty()) {
-      return pair_dense_[static_cast<std::size_t>(a) * num_links() + b];
-    }
-    const std::uint64_t* cell = pair_cell(a, b);
-    return cell != nullptr ? *cell : 0;
+    const std::size_t slot = graph_.conflict_slot(a, b);
+    return slot != InterferenceGraph::kNoSlot ? pair_count_[slot] : 0;
   }
 
   /// Visits every nonzero ledger entry once per unordered pair, as
   /// fn(a, b, count) with local ids a <= b in ascending (a, b) order (a == b
-  /// is a same-link overlap). Walks only the stored ledger — the dense
-  /// matrix of a complete graph, the CSR rows otherwise — so the cost is
+  /// is a same-link overlap). Walks only the conflict rows, so the cost is
   /// O(ledger cells), never O(n^2) on a sparse topology.
   template <typename Fn>
   void for_each_collision_pair(Fn&& fn) const {
-    const std::size_t n = num_links_;
-    if (!pair_dense_.empty()) {
-      for (LinkId a = 0; a < n; ++a) {
-        const std::uint64_t* row = pair_dense_.data() + static_cast<std::size_t>(a) * n;
-        for (LinkId b = a; b < n; ++b) {
-          if (row[b] != 0) fn(a, b, row[b]);
-        }
-      }
-      return;
-    }
-    for (LinkId a = 0; a < n; ++a) {
-      for (std::uint32_t i = pair_row_[a]; i < pair_row_[a + 1]; ++i) {
-        if (pair_col_[i] >= a && pair_count_[i] != 0) fn(a, pair_col_[i], pair_count_[i]);
+    const CsrRows& rows = graph_.conflict_rows();
+    for (LinkId a = 0; a < num_links_; ++a) {
+      for (std::uint32_t i = rows.offsets[a]; i < rows.offsets[a + 1]; ++i) {
+        if (rows.columns[i] >= a && pair_count_[i] != 0) fn(a, rows.columns[i], pair_count_[i]);
       }
     }
   }
 
   /// Bytes of per-link cold state this Medium holds (counters, sense views,
-  /// collision ledger, loss streams, listener table) — feeds the mem.phy
-  /// gauge. Arena-backed spans are counted here, not double-counted by the
-  /// arena owner.
+  /// topology rows, collision ledger, loss streams, listener table) — feeds
+  /// the mem.phy gauge. Arena-backed spans are counted here, not
+  /// double-counted by the arena owner.
   [[nodiscard]] std::size_t memory_bytes() const;
 
   // ---- shard mode -----------------------------------------------------------
@@ -400,34 +386,15 @@ class Medium {
     return static_probs_ != nullptr ? loss_rng_for(link).bernoulli(static_probs_[link])
                                     : channel_->attempt_succeeds(link, loss_rng_for(link));
   }
-  /// Allocates the pair ledger (dense or CSR per the conflict relation) and
-  /// the per-link SoA blocks from the arena.
+  /// Allocates the pair ledger and the per-link SoA blocks from the arena.
   void init_link_state();
-  /// CSR cell for the (a, b) pair; null when a and b never conflict.
-  [[nodiscard]] const std::uint64_t* pair_cell(LinkId a, LinkId b) const {
-    const std::uint32_t lo = pair_row_[a];
-    const std::uint32_t hi = pair_row_[a + 1];
-    const LinkId* first = pair_col_.data() + lo;
-    const LinkId* last = pair_col_.data() + hi;
-    const LinkId* it = std::lower_bound(first, last, b);
-    if (it == last || *it != b) return nullptr;
-    return pair_count_.data() + (it - pair_col_.data());
-  }
-  [[nodiscard]] std::uint64_t* pair_cell(LinkId a, LinkId b) {
-    return const_cast<std::uint64_t*>(std::as_const(*this).pair_cell(a, b));
-  }
   /// Counts one pairwise collision event between a and b (symmetric; the
   /// self pair a == b counts once).
   void count_collision_pair(LinkId a, LinkId b) {
-    if (!pair_dense_.empty()) {
-      ++pair_dense_[static_cast<std::size_t>(a) * num_links_ + b];
-      if (a != b) ++pair_dense_[static_cast<std::size_t>(b) * num_links_ + a];
-      return;
-    }
-    std::uint64_t* ab = pair_cell(a, b);
-    RTMAC_ASSERT(ab != nullptr, "collision between non-conflicting links");
-    ++*ab;
-    if (a != b) ++*pair_cell(b, a);
+    const std::size_t ab = graph_.conflict_slot(a, b);
+    RTMAC_ASSERT(ab != InterferenceGraph::kNoSlot, "collision between non-conflicting links");
+    ++pair_count_[ab];
+    if (a != b) ++pair_count_[graph_.conflict_slot(b, a)];
   }
   /// Applies a phantom busy/idle edge to the given local views (remote
   /// cut-edge activity; the global view and active_count_ stay untouched).
@@ -473,11 +440,8 @@ class Medium {
   std::vector<ListenerEntry> listeners_;
   MediumCounters counters_;
   std::span<LinkCounters> link_counters_;  ///< arena-backed, one per link
-  // Pairwise collision ledger: exactly one of the two forms is populated.
-  std::span<std::uint64_t> pair_dense_;  ///< n x n (complete conflicts only)
-  std::span<std::uint32_t> pair_row_;    ///< CSR row offsets, size n + 1
-  std::span<LinkId> pair_col_;           ///< CSR columns: {a} + conflicts(a), sorted
-  std::span<std::uint64_t> pair_count_;  ///< CSR values, parallel to pair_col_
+  /// Pairwise collision ledger, parallel to graph_.conflict_rows().columns.
+  std::span<std::uint64_t> pair_count_;
   sim::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   // Cached instrument handles, null when detached. Quantile sketches, not

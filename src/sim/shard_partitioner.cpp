@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <numeric>
+#include <queue>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -162,10 +164,13 @@ ShardPlan partition_topology(const AdjacencyLists& conflict, const AdjacencyList
     for (LinkId v : plan.cells[c]) plan.cell_of[v] = c;
   }
 
-  // Cut sets straight off the input relations.
+  // Cut sets straight off the input relations. A conflict listed in either
+  // direction is the same undirected edge.
   for (LinkId a = 0; a < n; ++a) {
     for (LinkId b : conflict[a]) {
-      if (a < b && plan.cell_of[a] != plan.cell_of[b]) plan.cut_conflicts.push_back({a, b});
+      if (plan.cell_of[a] != plan.cell_of[b]) {
+        plan.cut_conflicts.push_back({std::min(a, b), std::max(a, b)});
+      }
     }
   }
   std::sort(plan.cut_conflicts.begin(), plan.cut_conflicts.end(),
@@ -190,7 +195,8 @@ ShardPlan partition_topology(const AdjacencyLists& conflict, const AdjacencyList
 
   // Greedy balanced grouping: cells descending by link count (ties toward
   // the lower cell index) onto the least-loaded group (ties toward the
-  // lower group index).
+  // lower group index), picked from a min-heap of (load, group) so the cost
+  // is O(cells log groups) even with one group per cell.
   const std::size_t num_groups = std::min(target_shards, plan.cells.size());
   plan.groups.assign(num_groups, {});
   if (num_groups > 0) {
@@ -201,14 +207,15 @@ ShardPlan partition_topology(const AdjacencyLists& conflict, const AdjacencyList
       const std::size_t sy = plan.cells[y].size();
       return sx != sy ? sx > sy : x < y;
     });
-    std::vector<std::size_t> load(num_groups, 0);
+    using Load = std::pair<std::size_t, std::size_t>;  // (links, group)
+    const auto heavier = [](const Load& x, const Load& y) { return x > y; };
+    std::priority_queue<Load, std::vector<Load>, decltype(heavier)> least_loaded{heavier};
+    for (std::size_t g = 0; g < num_groups; ++g) least_loaded.emplace(0, g);
     for (std::uint32_t c : by_size) {
-      std::size_t g = 0;
-      for (std::size_t i = 1; i < num_groups; ++i) {
-        if (load[i] < load[g]) g = i;
-      }
+      const auto [load, g] = least_loaded.top();
+      least_loaded.pop();
       plan.groups[g].push_back(c);
-      load[g] += plan.cells[c].size();
+      least_loaded.emplace(load + plan.cells[c].size(), g);
     }
     for (auto& group : plan.groups) std::sort(group.begin(), group.end());
   }

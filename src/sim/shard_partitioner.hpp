@@ -63,8 +63,9 @@ struct ShardPlan {
   [[nodiscard]] std::size_t num_links() const { return cell_of.size(); }
 };
 
-/// Partitions a topology given its conflict relation (symmetric; self loops
-/// ignored) and sense relation (directed: sense[n] lists the links n hears).
+/// Partitions a topology given its conflict relation (symmetric: listing
+/// either direction conflicts both; self loops ignored) and sense relation
+/// (directed: sense[n] lists the links n hears).
 /// `target_shards` >= 1 is the requested number of parallel groups.
 ///
 /// Guarantees (property-tested):

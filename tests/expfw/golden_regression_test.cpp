@@ -84,12 +84,21 @@ TEST(GoldenRegressionTest, Fig9SmokeCsvIsByteIdenticalToPreRefactorBaseline) {
 }
 
 TEST(GoldenRegressionTest, ExplicitCompleteTopologyMatchesDefaultByteForByte) {
-  // Attaching InterferenceGraph::complete(n) explicitly must not perturb a
-  // single byte either.
+  // Attaching the complete topology explicitly (every link lists every
+  // other under both relations) must not perturb a single byte either.
   const auto base = [](double alpha) { return video_symmetric(alpha, 0.9, 1001); };
   const auto with_complete = [&](double alpha) {
-    return with_topology(base(alpha),
-                         phy::InterferenceGraph::complete(VideoScenario::kNumLinks));
+    constexpr std::size_t n = VideoScenario::kNumLinks;
+    phy::SparseTopology complete{n, std::vector<std::vector<LinkId>>(n),
+                                 std::vector<std::vector<LinkId>>(n)};
+    for (LinkId a = 0; a < n; ++a) {
+      for (LinkId b = 0; b < n; ++b) {
+        if (a == b) continue;
+        complete.conflict[a].push_back(b);
+        complete.sense[a].push_back(b);
+      }
+    }
+    return with_sparse_topology(base(alpha), std::move(complete));
   };
   const std::vector<SchemeSpec> schemes{{"LDF", ldf_factory()},
                                         {"DB-DP", dbdp_factory()},
@@ -130,7 +139,7 @@ TEST(GoldenRegressionTest, TopologyCompleteSmokeCsvIsByteIdenticalToRecordedBase
 
 TEST(GoldenRegressionTest, TopologyHiddenSmokeCsvIsByteIdenticalToRecordedBaseline) {
   const std::string csv = topology_smoke_csv([](double l) {
-    return with_topology(control_symmetric(l, 0.99, 1011), hidden_cells_topology(10, 5));
+    return with_sparse_topology(control_symmetric(l, 0.99, 1011), hidden_cells_topology(10, 5));
   });
   EXPECT_EQ(csv, golden("topology_hidden_smoke.csv"));
 }
@@ -142,8 +151,7 @@ TEST(GoldenRegressionTest, TopologyCellsSmokeCsvIsByteIdenticalForAnyShardCount)
     auto cfg = net::symmetric_network(24, Duration::milliseconds(2),
                                       phy::PhyParams::control_80211a(), 0.7,
                                       traffic::BernoulliArrivals{l}, 0.99, 2311);
-    cfg.topology = disconnected_cells_topology(24, 4);
-    return cfg;
+    return with_sparse_topology(std::move(cfg), disconnected_cells_topology(24, 4));
   };
   for (const int shards : {0, 1, 4}) {
     SweepOptions opts;

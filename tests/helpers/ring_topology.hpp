@@ -3,6 +3,7 @@
 // and every backoff countdown runs on its own link's sense view.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "net/network_config.hpp"
@@ -17,7 +18,8 @@ inline net::NetworkConfig with_ring(net::NetworkConfig cfg) {
   for (LinkId i = 0; i < n; ++i) {
     ring[i] = {static_cast<LinkId>((i + 1) % n), static_cast<LinkId>((i + n - 1) % n)};
   }
-  cfg.topology = phy::InterferenceGraph::from_lists(n, ring, ring);
+  cfg.sparse_topology =
+      std::make_shared<const phy::SparseTopology>(phy::SparseTopology{n, ring, ring});
   return cfg;
 }
 

@@ -199,7 +199,7 @@ TEST(BackoffEngineTest, PerNodeViewIgnoresUnsensedTransmissions) {
   // engine on the global view freezes for its whole duration.
   sim::Simulator sim;
   phy::Medium medium{sim, {1.0, 1.0},
-                     phy::InterferenceGraph::from_lists(2, {{1}, {0}}, {{}, {}}), 99};
+                     phy::InterferenceGraph{phy::SparseTopology{2, {{1}, {0}}, {{}, {}}}}, 99};
   BackoffEngine deaf{sim, medium, kSlot, /*sense_node=*/1};
   BackoffEngine global{sim, medium, kSlot};
   TimePoint deaf_fired;
@@ -221,7 +221,7 @@ TEST(BackoffEngineTest, PerNodeViewFreezesOnSensedTransmissions) {
   // The same engine does freeze for a transmission its node senses.
   sim::Simulator sim;
   phy::Medium medium{sim, {1.0, 1.0},
-                     phy::InterferenceGraph::from_lists(2, {{}, {}}, {{1}, {0}}), 99};
+                     phy::InterferenceGraph{phy::SparseTopology{2, {{}, {}}, {{1}, {0}}}}, 99};
   BackoffEngine engine{sim, medium, kSlot, /*sense_node=*/1};
   TimePoint fired;
   sim.schedule_in(Duration{}, [&] {

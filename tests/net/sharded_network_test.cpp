@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -131,7 +132,8 @@ NetworkConfig cells_config(std::uint64_t seed, std::size_t shards,
   auto cfg = net::symmetric_network(num_links, Duration::milliseconds(2),
                                     phy::PhyParams::control_80211a(), 0.7,
                                     traffic::BernoulliArrivals{0.8}, 0.9, seed);
-  cfg.topology = expfw::disconnected_cells_topology(num_links, cell_size);
+  cfg = expfw::with_sparse_topology(std::move(cfg),
+                                    expfw::disconnected_cells_topology(num_links, cell_size));
   cfg.shards = shards;
   return cfg;
 }
@@ -188,28 +190,47 @@ TEST(ShardedNetworkTest, ResultsAreIndependentOfShardCountAndWorkerCount) {
   }
 }
 
-TEST(ShardedNetworkTest, SparseTopologyMatchesItsDenseEquivalent) {
-  // The same disconnected-cells relation expressed as adjacency lists must
-  // produce identical results through the sparse construction path.
-  const auto dense = run_network(cells_config(55, /*shards=*/3), expfw::fcsma_factory());
-
-  constexpr std::size_t kNumLinks = 12;
-  constexpr std::size_t kCellSize = 4;
-  phy::SparseTopology sparse;
-  sparse.num_links = kNumLinks;
-  sparse.conflict.resize(kNumLinks);
-  sparse.sense.resize(kNumLinks);
-  for (LinkId a = 0; a < kNumLinks; ++a) {
-    for (LinkId b = 0; b < kNumLinks; ++b) {
-      if (a == b || a / kCellSize != b / kCellSize) continue;
-      sparse.conflict[a].push_back(b);
-      sparse.sense[a].push_back(b);
+TEST(ShardedNetworkTest, SparseTopologyResultsAreIndependentOfEngineShape) {
+  // One cell over every link (shards 0), the partitioner's components
+  // (shards 1: the city's 64 clusters, the whole chain), four groups (the
+  // chain bisected into four cut cells), and one group per clique must all
+  // produce the same run: deliveries, debts, channel counters and collision
+  // ledger. The metrics export is left out: at this size one registry's
+  // latency sketch compacts while each cell's stays exact, so estimated
+  // quantiles depend on the engine shape.
+  struct Case {
+    const char* name;
+    phy::SparseTopology topology;
+    mac::SchemeFactory factory;
+    std::size_t cells;
+  };
+  const Case cases[] = {
+      {"city", expfw::city_unit_disk_topology(64, 8, 2024), expfw::dcf_factory(), 64},
+      {"chain", expfw::chain_cells_topology(16, 8), expfw::fcsma_factory(), 16},
+  };
+  for (const Case& c : cases) {
+    const auto config = [&c](std::size_t shards) {
+      auto cfg = expfw::with_sparse_topology(
+          net::symmetric_network(c.topology.num_links, Duration::milliseconds(2),
+                                 phy::PhyParams::control_80211a(), 0.7,
+                                 traffic::BernoulliArrivals{0.8}, 0.9, 77),
+          c.topology);
+      cfg.shards = shards;
+      return cfg;
+    };
+    const auto results = [&](std::size_t shards) {
+      RunRecord rec = run_network(config(shards), c.factory, 20);
+      rec.metrics_jsonl.clear();
+      return rec;
+    };
+    const RunRecord one_cell = results(0);
+    EXPECT_GT(one_cell.delivered, 0U) << c.name;
+    EXPECT_GT(one_cell.collisions, 0U) << c.name;
+    for (const std::size_t shards : {1UL, 4UL, c.cells}) {
+      expect_same_run(one_cell, results(shards),
+                      std::string{c.name} + " shards=" + std::to_string(shards));
     }
   }
-  auto cfg = cells_config(55, /*shards=*/3);
-  cfg.topology.reset();
-  cfg = expfw::with_sparse_topology(std::move(cfg), std::move(sparse));
-  EXPECT_EQ(dense, run_network(std::move(cfg), expfw::fcsma_factory()));
 }
 
 // ---- cross-shard hidden terminal (conflict cut without sensing) -------------
@@ -218,7 +239,7 @@ TEST(ShardedNetworkTest, SparseTopologyMatchesItsDenseEquivalent) {
 /// {2,3} are carrier-sense cliques; (1,2) conflict at the receivers but
 /// cannot hear each other — a hidden-terminal pair that a 2-shard partition
 /// must place on the conflict cut with NO sense cut.
-phy::InterferenceGraph hidden_cut_unit_disk() {
+phy::SparseTopology hidden_cut_unit_disk() {
   using P = phy::InterferenceGraph::LinkPlacement;
   const std::vector<P> links = {
       P{{0.0, 0.0}, {0.5, 0.0}},  // link 0
@@ -226,21 +247,20 @@ phy::InterferenceGraph hidden_cut_unit_disk() {
       P{{5.0, 0.0}, {5.5, 0.0}},  // link 2
       P{{7.0, 0.0}, {6.5, 0.0}},  // link 3
   };
-  return phy::InterferenceGraph::unit_disk(links, /*interference_range=*/3.6,
-                                           /*sense_range=*/2.2);
+  return phy::sparse_unit_disk(links, /*interference_range=*/3.6, /*sense_range=*/2.2);
 }
 
 NetworkConfig hidden_cut_config(std::uint64_t seed, std::size_t shards) {
   auto cfg = net::symmetric_network(4, Duration::milliseconds(2),
                                     phy::PhyParams::control_80211a(), 0.7,
                                     traffic::BernoulliArrivals{0.9}, 0.9, seed);
-  cfg.topology = hidden_cut_unit_disk();
+  cfg = expfw::with_sparse_topology(std::move(cfg), hidden_cut_unit_disk());
   cfg.shards = shards;
   return cfg;
 }
 
 TEST(ShardedNetworkTest, HiddenCutPairIsAConflictCutWithoutSensing) {
-  const auto g = hidden_cut_unit_disk();
+  const phy::InterferenceGraph g{hidden_cut_unit_disk()};
   EXPECT_TRUE(g.conflicts(1, 2));
   EXPECT_FALSE(g.senses(1, 2));
   EXPECT_FALSE(g.senses(2, 1));
@@ -283,18 +303,18 @@ TEST(ShardedNetworkTest, LegacyAccessorsAbortOnShardedNetworks) {
 }
 
 TEST(ShardedNetworkTest, ValidationRejectsSparseWithoutShardsAndCustomChannels) {
+  // A topology runs at every shard count, 0 included; only custom channel
+  // models are confined to the unsharded engine.
   auto cfg = cells_config(5, /*shards=*/0);
-  cfg.topology.reset();
-  phy::SparseTopology sparse;
-  sparse.num_links = 12;
-  sparse.conflict.resize(12);
-  sparse.sense.resize(12);
-  cfg.sparse_topology = std::make_shared<const phy::SparseTopology>(std::move(sparse));
   std::string error;
-  EXPECT_FALSE(cfg.validate(&error));
-  EXPECT_NE(error.find("requires shards >= 1"), std::string::npos);
-  cfg.shards = 2;
   EXPECT_TRUE(cfg.validate(&error)) << error;
+  cfg.channel_factory = [] {
+    return std::make_unique<phy::StaticChannel>(ProbabilityVector(12, 0.7));
+  };
+  EXPECT_TRUE(cfg.validate(&error)) << error;
+  cfg.shards = 2;
+  EXPECT_FALSE(cfg.validate(&error));
+  EXPECT_NE(error.find("default Bernoulli channel"), std::string::npos) << error;
 }
 
 }  // namespace

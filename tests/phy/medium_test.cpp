@@ -258,12 +258,12 @@ TEST(MediumTest, ThreeWayCollision) {
 /// 3 links where only 0 and 1 conflict (and sense each other); link 2 is
 /// spatially independent of both.
 InterferenceGraph pair_plus_independent() {
-  return InterferenceGraph::from_lists(3, {{1}, {0}, {}}, {{1}, {0}, {}});
+  return InterferenceGraph{SparseTopology{3, {{1}, {0}, {}}, {{1}, {0}, {}}}};
 }
 
 /// 2 links that conflict but cannot hear each other.
 InterferenceGraph hidden_pair() {
-  return InterferenceGraph::from_lists(2, {{1}, {0}}, {{}, {}});
+  return InterferenceGraph{SparseTopology{2, {{1}, {0}}, {{}, {}}}};
 }
 
 TEST(MediumTopologyTest, OnlyConflictingLinksCollide) {
@@ -354,7 +354,7 @@ TEST(MediumTopologyTest, SenseViewBusyPeriodsMergeAcrossSensedLinks) {
   // one continuous busy period; a node sensing only link 1 sees a shorter
   // one.
   sim::Simulator sim;
-  const auto graph = InterferenceGraph::from_lists(3, {{}, {}, {}}, {{1}, {}, {}});
+  const InterferenceGraph graph{SparseTopology{3, {{}, {}, {}}, {{1}, {}, {}}}};
   Medium medium{sim, {1.0, 1.0, 1.0}, graph, 3};
   RecordingListener node0;   // senses links 0 and 1
   RecordingListener node1;   // senses only link 1

@@ -198,9 +198,13 @@ TEST(ShardPartitionerTest, InputNormalizationDoesNotChangeThePlan) {
   // normalize to the same plan as the clean form.
   AdjacencyLists clean{{1}, {0, 2}, {1, 3}, {2}};
   AdjacencyLists messy{{1, 1}, {2, 0, 2}, {3, 1}, {}};  // (2,3) listed one-sided
+  // The cut edge (1,2) listed only under its higher endpoint.
+  AdjacencyLists cut_from_above{{1}, {0}, {1, 3}, {2}};
   const AdjacencyLists sense(4);
-  EXPECT_TRUE(plans_equal(partition_topology(clean, sense, 2),
-                          partition_topology(messy, sense, 2)));
+  const ShardPlan plan = partition_topology(clean, sense, 2);
+  ASSERT_EQ(plan.cut_conflicts, (std::vector<CutEdge>{{1, 2}}));
+  EXPECT_TRUE(plans_equal(plan, partition_topology(messy, sense, 2)));
+  EXPECT_TRUE(plans_equal(plan, partition_topology(cut_from_above, sense, 2)));
 }
 
 TEST(ShardPartitionerTest, SenseOnlyCouplingKeepsLinksInOneCell) {
