@@ -30,6 +30,9 @@
 #include "obs/collect.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sketch.hpp"
+#include "phy/channel_model.hpp"
+#include "phy/interference.hpp"
+#include "phy/medium.hpp"
 #include "phy/phy_params.hpp"
 #include "sim/simulator.hpp"
 #include "traffic/arrival_process.hpp"
@@ -248,6 +251,115 @@ BENCHMARK_CAPTURE(BM_DcfIntervalAllocs, shared_clock, false);
 BENCHMARK_CAPTURE(BM_DcfIntervalAllocs, per_link_engines, true);
 BENCHMARK_CAPTURE(BM_FcsmaIntervalAllocs, shared_clock, false);
 BENCHMARK_CAPTURE(BM_FcsmaIntervalAllocs, per_link_engines, true);
+
+// ---- Medium transmission lifecycle -------------------------------------------
+// One transmission start and completion on an idle Medium, in the listener
+// shape of each backoff clock: the complete graph carries one global
+// listener (the shared clock), the partial unit-disk graph one listener per
+// node (per-link engines). A complete edge must cost O(1) in n; a partial
+// edge still walks every listener (ROADMAP item 1), which shows as a slope.
+// Complete rows stop at 2048 links: complete(n) keeps Theta(n^2) conflict
+// rows and ledger cells (~1.6 GB at 10^4 links).
+
+class NullListener final : public phy::MediumListener {
+ public:
+  void on_medium_busy(TimePoint) override {}
+  void on_medium_idle(TimePoint) override {}
+};
+
+/// An n-link Medium with its listeners attached. The partial graph is the
+/// city placement in clusters of 8 (each a sensing clique, none complete).
+struct BenchMedium {
+  sim::Simulator sim;
+  phy::Medium medium;
+  std::vector<NullListener> listeners;
+
+  BenchMedium(bool complete, std::size_t n)
+      : medium{sim, std::make_unique<phy::StaticChannel>(ProbabilityVector(n, 0.7)),
+               complete ? phy::InterferenceGraph::complete(n)
+                        : phy::InterferenceGraph{expfw::city_unit_disk_topology(n / 8, 8, 1)},
+               1},
+        listeners(complete ? 1 : n) {
+    for (std::size_t i = 0; i < listeners.size(); ++i) {
+      if (complete) {
+        medium.add_listener(&listeners[i]);
+      } else {
+        medium.add_listener(&listeners[i], static_cast<LinkId>(i));
+      }
+    }
+  }
+
+  /// One data packet on `link`, run to completion.
+  void transmit(LinkId link) {
+    medium.start_transmission(link, Duration::microseconds(100), phy::PacketKind::kData, nullptr);
+    sim.run();
+  }
+};
+
+void BM_MediumTx(benchmark::State& state, bool complete) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  BenchMedium bench{complete, n};
+  LinkId link = 0;
+  for (auto _ : state) {
+    bench.transmit(link);
+    link = link + 1 == n ? 0 : link + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_MediumTx, complete, true)->Arg(16)->Arg(2048);
+BENCHMARK_CAPTURE(BM_MediumTx, partial, false)->Arg(16)->Arg(10000);
+
+// One four-packet burst on the complete graph (the DB-DP winner's chain).
+void BM_MediumBurst(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  BenchMedium bench{true, n};
+  LinkId link = 0;
+  for (auto _ : state) {
+    bench.medium.begin_burst(link);
+    TimePoint t = bench.sim.now();
+    for (int i = 0; i < 4; ++i) {
+      benchmark::DoNotOptimize(bench.medium.burst_tx(link, t, Duration::microseconds(100),
+                                                     phy::PacketKind::kData));
+      t += Duration::microseconds(100);
+    }
+    bench.medium.end_burst(t);
+    bench.sim.run_until(t);
+    link = link + 1 == n ? 0 : link + 1;
+  }
+  state.SetItemsProcessed(state.iterations() * 4);
+}
+BENCHMARK(BM_MediumBurst)->Arg(16);
+
+// The Medium's zero-allocation contract, CI-gated: after a warm-up, a
+// window of transmissions on a partial graph (several views marked per
+// edge, one listener per node) and of bursts on a complete graph must never
+// touch the heap.
+void BM_MediumTxAllocs(benchmark::State& state) {
+  constexpr std::size_t kWindow = 4096;
+  BenchMedium partial{false, 64};
+  BenchMedium complete{true, 16};
+  const auto window = [&] {
+    for (std::size_t i = 0; i < kWindow; ++i) {
+      partial.transmit(static_cast<LinkId>(i % 64));
+      complete.medium.begin_burst(static_cast<LinkId>(i % 16));
+      const TimePoint end = complete.sim.now() + Duration::microseconds(100);
+      (void)complete.medium.burst_tx(static_cast<LinkId>(i % 16), complete.sim.now(),
+                                     Duration::microseconds(100), phy::PacketKind::kData);
+      complete.medium.end_burst(end);
+      complete.sim.run_until(end);
+    }
+  };
+  window();  // warm-up: event pool and the active-transmission vector
+  double window_allocs = 0.0;
+  for (auto _ : state) {
+    const std::uint64_t before = alloc_count();
+    window();
+    window_allocs = static_cast<double>(alloc_count() - before);
+  }
+  state.counters["allocs"] = window_allocs;
+  state.SetItemsProcessed(state.iterations() * kWindow);
+}
+BENCHMARK(BM_MediumTxAllocs);
 
 // Quantile-sketch update throughput: the per-interval observability cost of
 // the sketch-backed series (debt, deliveries, busy periods, latency).

@@ -11,9 +11,9 @@
 // and optionally a per-link CSV. --trace-out writes a Chrome trace-event
 // timeline of the whole run (open it at https://ui.perfetto.dev);
 // --metrics-out writes JSONL metrics + an engine profile under DIR.
+#include <climits>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <stdexcept>
 
 #include "expfw/observe.hpp"
@@ -38,11 +38,10 @@ void usage() {
       "                 [--metrics-stream FILE] [--stream-every N]\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// The whole run. Throws std::invalid_argument on a usage error: a
+/// malformed numeric flag or an invalid network configuration.
+int run(const rtmac::ArgParser& args) {
   using namespace rtmac;
-  const ArgParser args{argc, argv};
   const std::vector<std::string> known{"scheme",    "profile", "links", "alpha",
                                        "lambda",    "rho",     "p",     "intervals",
                                        "seed",      "pairs",   "learned-p", "csv",
@@ -79,6 +78,7 @@ int main(int argc, char** argv) {
   // The arrival constructors only assert their ranges, and those checks
   // compile out of release builds, so the CLI rejects bad values itself.
   const char* invalid = pairs_arg < 1                       ? "--pairs must be >= 1"
+                        : pairs_arg > INT_MAX               ? "--pairs must be <= INT_MAX"
                         : stream_every < 1                  ? "--stream-every must be >= 1"
                         : !(alpha >= 0.0 && alpha <= 1.0)   ? "--alpha must be in [0, 1]"
                         : !(lambda >= 0.0 && lambda <= 1.0) ? "--lambda must be in [0, 1]"
@@ -124,14 +124,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::unique_ptr<net::Network> built;
-  try {
-    built = std::make_unique<net::Network>(std::move(cfg), factory);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "rtmac_sim: " << e.what() << "\n";
-    return 2;
-  }
-  net::Network& network = *built;
+  net::Network network{std::move(cfg), factory};
   expfw::RunObserver observer{
       args.get("metrics-out", std::string{}), args.get("trace-out", std::string{}),
       args.get("metrics-stream", std::string{}), static_cast<std::uint64_t>(stream_every)};
@@ -185,4 +178,15 @@ int main(int argc, char** argv) {
     std::cout << "\nper-link CSV written to " << path << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(rtmac::ArgParser{argc, argv});
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "rtmac_sim: " << e.what() << "\n";
+    return 2;
+  }
 }

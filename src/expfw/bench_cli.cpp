@@ -1,7 +1,9 @@
 #include "expfw/bench_cli.hpp"
 
+#include <climits>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "util/args.hpp"
 
@@ -54,79 +56,71 @@ BenchArgs parse_bench_args(int argc, const char* const* argv,
     std::exit(2);
   }
 
-  // ArgParser's typed getters are best-effort (malformed values fall back
-  // to the default); the bench flags must fail loudly instead, or a typo
-  // silently reruns the default configuration.
-  const auto require_int = [&](const char* name, std::int64_t def) -> std::int64_t {
-    if (!args.has(name)) return def;
-    const std::string raw = args.get(name, std::string{});
-    char* end = nullptr;
-    const long long v = raw.empty() ? 0 : std::strtoll(raw.c_str(), &end, 10);
-    if (raw.empty() || end == nullptr || *end != '\0') {
-      std::cerr << "--" << name << " expects an integer, got \"" << raw << "\"\n";
+  BenchArgs out;
+  try {
+    // Legacy style: a bare positional integer is the interval count.
+    std::int64_t intervals = static_cast<std::int64_t>(default_intervals);
+    if (!args.positional().empty()) {
+      intervals = std::strtoll(args.positional().front().c_str(), nullptr, 10);
+      if (intervals == 0) intervals = static_cast<std::int64_t>(default_intervals);
+    }
+    intervals = args.get("intervals", intervals);
+    if (intervals < 0) {
+      // An unchecked cast would wrap to ~1.8e19 intervals and never finish.
+      std::cerr << "--intervals must be >= 0\n";
+      std::exit(2);
+    }
+    out.smoke = args.get("smoke", false);
+    out.intervals = out.smoke ? std::min(static_cast<IntervalIndex>(intervals), smoke_intervals)
+                              : static_cast<IntervalIndex>(intervals);
+    const std::int64_t reps = args.get("reps", std::int64_t{1});
+    const std::int64_t jobs = args.get("jobs", std::int64_t{0});
+    if (reps < 1) {
+      std::cerr << "--reps must be >= 1\n";
+      std::exit(2);
+    }
+    if (jobs < 0) {
+      std::cerr << "--jobs must be >= 0 (0 = all cores)\n";
+      std::exit(2);
+    }
+    out.sweep.reps = static_cast<std::size_t>(reps);
+    out.sweep.jobs = static_cast<std::size_t>(jobs);
+    const std::int64_t shards = args.get("shards", std::int64_t{-1});
+    const std::int64_t shard_jobs = args.get("shard-jobs", std::int64_t{-1});
+    // Both land in an int: a larger value would wrap instead of failing.
+    if (args.has("shards") && (shards < 0 || shards > INT_MAX)) {
+      std::cerr << "--shards must be in [0, INT_MAX] (0 = one cell, no partitioning)\n";
+      std::exit(2);
+    }
+    if (args.has("shard-jobs") && (shard_jobs < 0 || shard_jobs > INT_MAX)) {
+      std::cerr << "--shard-jobs must be in [0, INT_MAX] (0 = one per group)\n";
+      std::exit(2);
+    }
+    out.sweep.shards = static_cast<int>(shards);
+    out.sweep.shard_jobs = static_cast<int>(shard_jobs);
+    out.sweep.metrics_dir = args.get("metrics-out", std::string{});
+    out.sweep.trace_out = args.get("trace-out", std::string{});
+    out.sweep.stream_path = args.get("metrics-stream", std::string{});
+    if ((args.has("metrics-out") && out.sweep.metrics_dir.empty()) ||
+        (args.has("trace-out") && out.sweep.trace_out.empty()) ||
+        (args.has("metrics-stream") && out.sweep.stream_path.empty())) {
+      std::cerr << "--metrics-out/--trace-out/--metrics-stream expect a path\n";
       usage(std::cerr);
       std::exit(2);
     }
-    return v;
-  };
-
-  BenchArgs out;
-  // Legacy style: a bare positional integer is the interval count.
-  std::int64_t intervals = static_cast<std::int64_t>(default_intervals);
-  if (!args.positional().empty()) {
-    intervals = std::strtoll(args.positional().front().c_str(), nullptr, 10);
-    if (intervals == 0) intervals = static_cast<std::int64_t>(default_intervals);
-  }
-  intervals = require_int("intervals", intervals);
-  if (intervals < 0) {
-    // An unchecked cast would wrap to ~1.8e19 intervals and never finish.
-    std::cerr << "--intervals must be >= 0\n";
-    std::exit(2);
-  }
-  out.smoke = args.get("smoke", false);
-  out.intervals = out.smoke ? std::min(static_cast<IntervalIndex>(intervals), smoke_intervals)
-                            : static_cast<IntervalIndex>(intervals);
-  const std::int64_t reps = require_int("reps", 1);
-  const std::int64_t jobs = require_int("jobs", 0);
-  if (reps < 1) {
-    std::cerr << "--reps must be >= 1\n";
-    std::exit(2);
-  }
-  if (jobs < 0) {
-    std::cerr << "--jobs must be >= 0 (0 = all cores)\n";
-    std::exit(2);
-  }
-  out.sweep.reps = static_cast<std::size_t>(reps);
-  out.sweep.jobs = static_cast<std::size_t>(jobs);
-  const std::int64_t shards = require_int("shards", -1);
-  const std::int64_t shard_jobs = require_int("shard-jobs", -1);
-  if (args.has("shards") && shards < 0) {
-    std::cerr << "--shards must be >= 0 (0 = one cell, no partitioning)\n";
-    std::exit(2);
-  }
-  if (args.has("shard-jobs") && shard_jobs < 0) {
-    std::cerr << "--shard-jobs must be >= 0 (0 = one per group)\n";
-    std::exit(2);
-  }
-  out.sweep.shards = static_cast<int>(shards);
-  out.sweep.shard_jobs = static_cast<int>(shard_jobs);
-  out.sweep.metrics_dir = args.get("metrics-out", std::string{});
-  out.sweep.trace_out = args.get("trace-out", std::string{});
-  out.sweep.stream_path = args.get("metrics-stream", std::string{});
-  if ((args.has("metrics-out") && out.sweep.metrics_dir.empty()) ||
-      (args.has("trace-out") && out.sweep.trace_out.empty()) ||
-      (args.has("metrics-stream") && out.sweep.stream_path.empty())) {
-    std::cerr << "--metrics-out/--trace-out/--metrics-stream expect a path\n";
+    const std::int64_t stream_every = args.get("stream-every", std::int64_t{10});
+    if (stream_every < 1) {
+      std::cerr << "--stream-every must be >= 1\n";
+      std::exit(2);
+    }
+    out.sweep.stream_every = static_cast<std::uint64_t>(stream_every);
+    out.sweep.progress = args.get("progress", false);
+  } catch (const std::invalid_argument& e) {
+    // A malformed number must fail loudly, not rerun the default.
+    std::cerr << e.what() << "\n";
     usage(std::cerr);
     std::exit(2);
   }
-  const std::int64_t stream_every = require_int("stream-every", 10);
-  if (stream_every < 1) {
-    std::cerr << "--stream-every must be >= 1\n";
-    std::exit(2);
-  }
-  out.sweep.stream_every = static_cast<std::uint64_t>(stream_every);
-  out.sweep.progress = args.get("progress", false);
   return out;
 }
 

@@ -9,15 +9,6 @@
 
 namespace rtmac::phy {
 
-Medium::Medium(sim::Simulator& simulator, ProbabilityVector success_prob, std::uint64_t seed,
-               util::Arena* arena)
-    : Medium{simulator, std::make_unique<StaticChannel>(std::move(success_prob)), seed, arena} {}
-
-Medium::Medium(sim::Simulator& simulator, ProbabilityVector success_prob,
-               InterferenceGraph topology, std::uint64_t seed, util::Arena* arena)
-    : Medium{simulator, std::make_unique<StaticChannel>(std::move(success_prob)),
-             std::move(topology), seed, arena} {}
-
 namespace {
 
 /// Stream id of link `global`'s private loss stream ("LOSS" + id). Partial
@@ -29,55 +20,35 @@ std::uint64_t loss_stream_id(LinkId global) { return mix64(0x4c4f5353ULL, global
 }  // namespace
 
 Medium::Medium(sim::Simulator& simulator, std::unique_ptr<ChannelModel> channel,
-               std::uint64_t seed, util::Arena* arena)
+               InterferenceGraph graph, std::uint64_t seed, util::Arena* arena)
     : sim_{simulator},
       channel_{std::move(channel)},
-      graph_{InterferenceGraph::complete(channel_ != nullptr ? channel_->num_links() : 1)},
+      graph_{std::move(graph)},
       seed_{seed},
-      loss_rng_{seed, /*stream_id=*/0x4d454449554dULL /* "MEDIUM" */} {
+      loss_rng_{seed, /*stream_id=*/0x4d454449554dULL /* "MEDIUM" */},
+      arena_{arena} {
   RTMAC_REQUIRE(channel_ != nullptr && channel_->num_links() > 0);
-  complete_sensing_ = graph_.complete_sensing();
   num_links_ = channel_->num_links();
-  arena_ = arena;
-  init_link_state();
-}
-
-Medium::Medium(sim::Simulator& simulator, std::unique_ptr<ChannelModel> channel,
-               InterferenceGraph topology, std::uint64_t seed, util::Arena* arena)
-    : sim_{simulator},
-      channel_{std::move(channel)},
-      graph_{std::move(topology)},
-      seed_{seed},
-      loss_rng_{seed, /*stream_id=*/0x4d454449554dULL /* "MEDIUM" */} {
-  RTMAC_REQUIRE(channel_ != nullptr && channel_->num_links() > 0);
-  const std::size_t n = channel_->num_links();
-  RTMAC_ASSERT(graph_.num_links() == n, "interference graph size must match the channel");
+  RTMAC_REQUIRE(graph_.num_links() == num_links_, "interference graph size must match the channel");
   complete_sensing_ = graph_.complete_sensing();
-  num_links_ = n;
-  arena_ = arena;
-  init_link_state();
   if (!graph_.is_complete()) {
-    loss_rngs_.reserve(n);
-    for (LinkId link = 0; link < n; ++link) {
+    loss_rngs_.reserve(num_links_);
+    for (LinkId link = 0; link < num_links_; ++link) {
       loss_rngs_.emplace_back(seed_, loss_stream_id(link));
     }
   }
-}
-
-void Medium::init_link_state() {
   if (arena_ == nullptr) {
     // Standalone construction: no shared arena, bring a private one.
     own_arena_ = std::make_unique<util::Arena>();
     arena_ = own_arena_.get();
   }
-  static_probs_ = [this]() -> const double* {
-    auto* static_channel = dynamic_cast<StaticChannel*>(channel_.get());
-    return static_channel != nullptr ? static_channel->probs().data() : nullptr;
-  }();
-  const std::size_t n = num_links_;
-  link_counters_ = arena_->make_span<LinkCounters>(n);
-  views_ = arena_->make_span<SenseView>(n);
-  marks_ = arena_->make_span<std::uint8_t>(n + 1);
+  if (auto* static_channel = dynamic_cast<StaticChannel*>(channel_.get())) {
+    static_probs_ = static_channel->probs().data();
+  }
+  link_counters_ = arena_->make_span<LinkCounters>(num_links_);
+  views_ = arena_->make_span<SenseView>(num_links_);
+  marks_ = arena_->make_span<std::uint8_t>(num_links_ + 1);
+  marked_ = arena_->make_span<LinkId>(num_links_ + 1);
   // One counter per conflict-row entry ({a} + conflicts(a) per row — the
   // diagonal is forced, so self collisions always have a cell).
   pair_count_ = arena_->make_span<std::uint64_t>(graph_.conflict_rows().columns.size());
@@ -85,9 +56,9 @@ void Medium::init_link_state() {
 
 std::size_t Medium::memory_bytes() const {
   return link_counters_.size_bytes() + views_.size_bytes() + marks_.size_bytes() +
-         pair_count_.size_bytes() + graph_.memory_bytes() + loss_rngs_.capacity() * sizeof(Rng) +
-         active_.capacity() * sizeof(ActiveTx) + listeners_.capacity() * sizeof(ListenerEntry) +
-         outbox_.capacity() * sizeof(CutTxExport) +
+         marked_.size_bytes() + pair_count_.size_bytes() + graph_.memory_bytes() +
+         loss_rngs_.capacity() * sizeof(Rng) + active_.capacity() * sizeof(ActiveTx) +
+         listeners_.capacity() * sizeof(ListenerEntry) + outbox_.capacity() * sizeof(CutTxExport) +
          shard_.global_ids.capacity() * sizeof(LinkId) + shard_.conflict_cut.capacity() +
          shard_.exported.capacity();
 }
@@ -164,24 +135,11 @@ void Medium::inject_remote_activity(LinkId speaker, TimePoint start, TimePoint e
 void Medium::remote_mark(const std::vector<LinkId>& nodes, bool to_busy) {
   const TimePoint now = sim_.now();
   for (LinkId node : nodes) {
-    SenseView& view = views_[node];
     if (to_busy) {
-      ++view.active;
-      if (!view.notified_busy) {
-        view.notified_busy = true;
-        view.busy_since = now;
-        marks_[node] = 1;
-        any_marked_ = true;
-      }
+      enter_busy(node, now);
     } else {
-      RTMAC_ASSERT(view.active > 0, "unbalanced remote idle edge");
-      --view.active;
-      if (view.active == 0 && view.notified_busy) {
-        view.notified_busy = false;
-        view.busy_time += now - view.busy_since;
-        marks_[node] = 1;
-        any_marked_ = true;
-      }
+      release(node);
+      exit_busy(node, now);
     }
   }
   dispatch_marked(to_busy, now);
@@ -190,7 +148,7 @@ void Medium::remote_mark(const std::vector<LinkId>& nodes, bool to_busy) {
 void Medium::add_listener(MediumListener* listener, LinkId node) {
   RTMAC_REQUIRE(listener != nullptr);
   RTMAC_REQUIRE(node == kAllNodes || node < num_links());
-  listeners_.push_back(ListenerEntry{listener, node});
+  listeners_.push_back(ListenerEntry{listener, mark_index(complete_sensing_ ? kAllNodes : node)});
 }
 
 void Medium::set_metrics(obs::MetricsRegistry* registry) {
@@ -208,53 +166,32 @@ void Medium::set_metrics(obs::MetricsRegistry* registry) {
   delivery_latency_sketch_ = &registry->sketch("phy.delivery_latency_us");
 }
 
-void Medium::mark_transitions(LinkId link, bool to_busy, TimePoint now) {
-  const std::size_t n = num_links();
-  const std::span<const LinkId> sensing = graph_.sensed_by(link);
-  // The global view behaves like a node that senses every link.
-  for (std::size_t i = 0; i <= sensing.size(); ++i) {
-    const bool is_global = (i == sensing.size());
-    SenseView& view = is_global ? global_view_ : views_[sensing[i]];
-    const std::size_t mark_idx = is_global ? n : sensing[i];
-    if (to_busy) {
-      ++view.active;
-      if (!view.notified_busy) {
-        view.notified_busy = true;
-        view.busy_since = now;
-        marks_[mark_idx] = 1;
-        any_marked_ = true;
-      }
-    } else if (view.active == 0 && view.notified_busy) {
-      view.notified_busy = false;
-      view.busy_time += now - view.busy_since;
-      if (is_global && busy_period_sketch_ != nullptr) {
-        busy_period_sketch_->update((now - view.busy_since).us_f());
-      }
-      marks_[mark_idx] = 1;
-      any_marked_ = true;
-    }
-  }
+void Medium::enter_busy(LinkId node, TimePoint now) {
+  SenseView& view = view_of(node);
+  ++view.active;
+  if (view.notified_busy) return;
+  view.notified_busy = true;
+  view.busy_since = now;
+  mark(node);
 }
 
-void Medium::notify_all(bool to_busy, TimePoint now) {
-  dispatching_listeners_ = true;
-  for (const ListenerEntry& entry : listeners_) {
-    if (to_busy) {
-      entry.listener->on_medium_busy(now);
-    } else {
-      entry.listener->on_medium_idle(now);
-    }
+void Medium::exit_busy(LinkId node, TimePoint now) {
+  SenseView& view = view_of(node);
+  if (view.active != 0 || !view.notified_busy) return;
+  view.notified_busy = false;
+  const Duration period = now - view.busy_since;
+  view.busy_time += period;
+  if (node == kAllNodes && busy_period_sketch_ != nullptr) {
+    busy_period_sketch_->update(period.us_f());
   }
-  dispatching_listeners_ = false;
+  mark(node);
 }
 
 void Medium::dispatch_marked(bool to_busy, TimePoint now) {
-  if (!any_marked_) return;
-  const std::size_t n = num_links();
+  if (marked_count_ == 0) return;
   dispatching_listeners_ = true;
   for (const ListenerEntry& entry : listeners_) {
-    const std::size_t mark_idx = entry.node == kAllNodes ? n : entry.node;
-    if (marks_[mark_idx] == 0) continue;
+    if (marks_[entry.view] == 0) continue;
     if (to_busy) {
       entry.listener->on_medium_busy(now);
     } else {
@@ -262,8 +199,56 @@ void Medium::dispatch_marked(bool to_busy, TimePoint now) {
     }
   }
   dispatching_listeners_ = false;
-  std::fill(marks_.begin(), marks_.end(), std::uint8_t{0});
-  any_marked_ = false;
+  // Clear only what was marked: a full sweep would cost O(n) per edge.
+  for (const LinkId index : marked_.first(marked_count_)) marks_[index] = 0;
+  marked_count_ = 0;
+}
+
+void Medium::record_start(LinkId link, TimePoint at, Duration airtime, PacketKind kind) {
+  if (kind == PacketKind::kData) {
+    ++counters_.data_tx;
+    ++link_counters_[link].data_tx;
+  } else {
+    ++counters_.empty_tx;
+    ++link_counters_[link].empty_tx;
+  }
+  if (tracer_ != nullptr) {
+    tracer_->record(at, sim::TraceKind::kTxStart, link, airtime.ns(),
+                    kind == PacketKind::kEmpty ? 1 : 0);
+  }
+}
+
+TxOutcome Medium::settle(LinkId link, TimePoint end, Duration airtime, PacketKind kind,
+                         bool collided) {
+  counters_.busy_time += airtime;
+  link_counters_[link].airtime += airtime;
+  TxOutcome outcome;
+  if (collided) {
+    outcome = TxOutcome::kCollision;
+    ++counters_.collisions;
+    ++link_counters_[link].collisions;
+    counters_.collided_time += airtime;
+  } else if (kind == PacketKind::kData && attempt_succeeds(link)) {
+    outcome = TxOutcome::kDelivered;
+    ++counters_.delivered;
+    ++link_counters_[link].delivered;
+    if (delivery_latency_sketch_ != nullptr) {
+      delivery_latency_sketch_->update((end - interval_start_).us_f());
+    }
+  } else if (kind == PacketKind::kEmpty) {
+    // Empty packets carry no payload; a clean empty transmission counts as
+    // delivered for protocol purposes (the claim was heard as channel
+    // activity), and is never subject to the payload loss process.
+    outcome = TxOutcome::kDelivered;
+  } else {
+    outcome = TxOutcome::kChannelLoss;
+    ++counters_.channel_losses;
+  }
+  if (tracer_ != nullptr) {
+    tracer_->record(end, sim::TraceKind::kTxEnd, link, static_cast<std::int64_t>(outcome),
+                    kind == PacketKind::kEmpty ? 1 : 0);
+  }
+  return outcome;
 }
 
 void Medium::start_transmission(LinkId link, Duration airtime, PacketKind kind, TxDone done) {
@@ -299,16 +284,6 @@ void Medium::start_transmission(LinkId link, Duration airtime, PacketKind kind, 
 
   const std::uint64_t tx_id = next_tx_id_++;
   active_.push_back(ActiveTx{link, kind, now, airtime, collided, std::move(done), tx_id});
-  ++active_count_;
-
-  if (kind == PacketKind::kData) {
-    ++counters_.data_tx;
-    ++link_counters_[link].data_tx;
-  } else {
-    ++counters_.empty_tx;
-    ++link_counters_[link].empty_tx;
-  }
-
   sim_.schedule_in(airtime, [this, tx_id] { finish_transmission(tx_id); });
 
   if (shard_mode_) {
@@ -324,26 +299,9 @@ void Medium::start_transmission(LinkId link, Duration airtime, PacketKind kind, 
     }
   }
 
-  if (tracer_ != nullptr) {
-    tracer_->record(now, sim::TraceKind::kTxStart, link, airtime.ns(),
-                    kind == PacketKind::kEmpty ? 1 : 0);
-  }
-
-  if (complete_sensing_) {
-    // Fast path: one shared view, maintained inline; listeners are visited
-    // only on an actual busy edge (chained back-to-back packets keep the
-    // view busy and skip the whole notification machinery).
-    SenseView& view = global_view_;
-    ++view.active;
-    if (!view.notified_busy) {
-      view.notified_busy = true;
-      view.busy_since = now;
-      notify_all(/*to_busy=*/true, now);
-    }
-  } else {
-    mark_transitions(link, /*to_busy=*/true, now);
-    dispatch_marked(/*to_busy=*/true, now);
-  }
+  record_start(link, now, airtime, kind);
+  for_each_view(link, [this, now](LinkId node) { enter_busy(node, now); });
+  dispatch_marked(/*to_busy=*/true, now);
 }
 
 void Medium::finish_transmission(std::uint64_t tx_id) {
@@ -355,14 +313,7 @@ void Medium::finish_transmission(std::uint64_t tx_id) {
   // may immediately start another transmission (back-to-back bursts).
   ActiveTx tx = std::move(*it);
   active_.erase(it);
-  --active_count_;
-  --global_view_.active;
-  if (!complete_sensing_) {
-    for (LinkId node : graph_.sensed_by(tx.link)) --views_[node].active;
-  }
-
-  counters_.busy_time += tx.airtime;
-  link_counters_[tx.link].airtime += tx.airtime;
+  for_each_view(tx.link, [this](LinkId node) { release(node); });
 
   // Cross-shard overlaps: by the time this completion executes, the
   // coordinator guarantees every conflicting neighbor cell has advanced
@@ -375,116 +326,39 @@ void Medium::finish_transmission(std::uint64_t tx_id) {
     tx.collided = tx.collided || remote_collision;
   }
 
-  TxOutcome outcome;
-  if (tx.collided) {
-    outcome = TxOutcome::kCollision;
-    ++counters_.collisions;
-    ++link_counters_[tx.link].collisions;
-    counters_.collided_time += tx.airtime;
-  } else if (tx.kind == PacketKind::kData && attempt_succeeds(tx.link)) {
-    outcome = TxOutcome::kDelivered;
-    ++counters_.delivered;
-    ++link_counters_[tx.link].delivered;
-    if (delivery_latency_sketch_ != nullptr) {
-      delivery_latency_sketch_->update((sim_.now() - interval_start_).us_f());
-    }
-  } else if (tx.kind == PacketKind::kEmpty) {
-    // Empty packets carry no payload; a clean empty transmission counts as
-    // delivered for protocol purposes (the claim was heard as channel
-    // activity), and is never subject to the payload loss process.
-    outcome = TxOutcome::kDelivered;
-  } else {
-    outcome = TxOutcome::kChannelLoss;
-    ++counters_.channel_losses;
-  }
-
   const TimePoint now = sim_.now();
-  if (tracer_ != nullptr) {
-    tracer_->record(now, sim::TraceKind::kTxEnd, tx.link, static_cast<std::int64_t>(outcome),
-                    tx.kind == PacketKind::kEmpty ? 1 : 0);
-  }
+  const TxOutcome outcome = settle(tx.link, now, tx.airtime, tx.kind, tx.collided);
 
   // Notify the transmitter first (it may chain the next packet of a burst,
   // keeping its sense views busy with no idle gap), then carrier-sense
   // listeners of every view that actually went idle.
   if (tx.done) tx.done(outcome);
-
-  if (complete_sensing_) {
-    SenseView& view = global_view_;
-    if (view.active == 0 && view.notified_busy) {
-      view.notified_busy = false;
-      const Duration period = now - view.busy_since;
-      view.busy_time += period;
-      if (busy_period_sketch_ != nullptr) busy_period_sketch_->update(period.us_f());
-      notify_all(/*to_busy=*/false, now);
-    }
-  } else {
-    mark_transitions(tx.link, /*to_busy=*/false, now);
-    dispatch_marked(/*to_busy=*/false, now);
-  }
+  for_each_view(tx.link, [this, now](LinkId node) { exit_busy(node, now); });
+  dispatch_marked(/*to_busy=*/false, now);
 }
 
 void Medium::begin_burst(LinkId link) {
   RTMAC_REQUIRE(link < num_links_);
   RTMAC_ASSERT(burst_available(), "begin_burst without burst_available()");
   burst_active_ = true;
-  ++active_count_;
-  ++global_view_.active;
 }
 
 TxOutcome Medium::burst_tx(LinkId link, TimePoint at, Duration airtime, PacketKind kind) {
   RTMAC_ASSERT(burst_active_, "burst_tx outside a burst");
   RTMAC_REQUIRE(airtime > Duration{}, "zero-airtime transmission");
-
-  if (kind == PacketKind::kData) {
-    ++counters_.data_tx;
-    ++link_counters_[link].data_tx;
-  } else {
-    ++counters_.empty_tx;
-    ++link_counters_[link].empty_tx;
+  record_start(link, at, airtime, kind);
+  // The first packet opens the busy period, exactly where the per-event
+  // path does (after its kTxStart record, before the outcome); the burst
+  // then holds the global view busy until end_burst.
+  if (!busy()) {
+    enter_busy(kAllNodes, at);
+    dispatch_marked(/*to_busy=*/true, at);
   }
-  if (tracer_ != nullptr) {
-    tracer_->record(at, sim::TraceKind::kTxStart, link, airtime.ns(),
-                    kind == PacketKind::kEmpty ? 1 : 0);
-  }
-
-  // First packet of the burst: emit the busy edge, exactly where the
-  // per-event path does (after the kTxStart record, before the outcome).
-  SenseView& view = global_view_;
-  if (!view.notified_busy) {
-    view.notified_busy = true;
-    view.busy_since = at;
-    notify_all(/*to_busy=*/true, at);
-  }
-
-  counters_.busy_time += airtime;
-  link_counters_[link].airtime += airtime;
-
-  // No collision branch: the burst holds the medium exclusively, so the
-  // outcome depends only on the channel — drawn from the same loss stream,
-  // in the same order, as the per-event path would at the completion event.
-  TxOutcome outcome;
-  if (kind == PacketKind::kData && attempt_succeeds(link)) {
-    outcome = TxOutcome::kDelivered;
-    ++counters_.delivered;
-    ++link_counters_[link].delivered;
-    // Virtual burst timestamp: the packet completes at `at + airtime`, the
-    // same instant the per-event path would observe at its completion event.
-    if (delivery_latency_sketch_ != nullptr) {
-      delivery_latency_sketch_->update((at + airtime - interval_start_).us_f());
-    }
-  } else if (kind == PacketKind::kEmpty) {
-    outcome = TxOutcome::kDelivered;
-  } else {
-    outcome = TxOutcome::kChannelLoss;
-    ++counters_.channel_losses;
-  }
-
-  if (tracer_ != nullptr) {
-    tracer_->record(at + airtime, sim::TraceKind::kTxEnd, link,
-                    static_cast<std::int64_t>(outcome), kind == PacketKind::kEmpty ? 1 : 0);
-  }
-  return outcome;
+  // No collision: the burst holds the medium exclusively, so the outcome
+  // depends only on the channel — drawn from the same loss stream, in the
+  // same order, as the per-event path would at the completion event, which
+  // would run at the packet's virtual end `at + airtime`.
+  return settle(link, at + airtime, airtime, kind, /*collided=*/false);
 }
 
 void Medium::end_burst(TimePoint end) {
@@ -499,16 +373,9 @@ void Medium::end_burst(TimePoint end) {
   // exactly what they would have computed inside an event at `end`.
   RTMAC_ASSERT(sim_.no_event_before(end), "event pending inside the burst window");
   burst_active_ = false;
-  --active_count_;
-  SenseView& view = global_view_;
-  --view.active;
-  if (view.active == 0 && view.notified_busy) {
-    view.notified_busy = false;
-    const Duration period = end - view.busy_since;
-    view.busy_time += period;
-    if (busy_period_sketch_ != nullptr) busy_period_sketch_->update(period.us_f());
-    notify_all(/*to_busy=*/false, end);
-  }
+  release(kAllNodes);
+  exit_busy(kAllNodes, end);
+  dispatch_marked(/*to_busy=*/false, end);
 }
 
 }  // namespace rtmac::phy

@@ -145,23 +145,16 @@ class Medium {
   /// every link, whatever the topology). Same value as sim::kNoLink.
   static constexpr LinkId kAllNodes = static_cast<LinkId>(-1);
 
-  /// `success_prob[n]` is the paper's p_n for link n (i.i.d. Bernoulli loss).
-  /// Without an explicit topology the graph is complete (the paper's model).
-  /// `arena`, when given, backs the cold per-link state (counters, views,
-  /// collision ledger) — the sharded Network shares one arena across all
-  /// cell media; when null the Medium brings its own (borrowed, not owned,
-  /// must outlive the Medium).
-  Medium(sim::Simulator& simulator, ProbabilityVector success_prob, std::uint64_t seed,
-         util::Arena* arena = nullptr);
-  Medium(sim::Simulator& simulator, ProbabilityVector success_prob, InterferenceGraph topology,
-         std::uint64_t seed, util::Arena* arena = nullptr);
-
-  /// Custom loss process (e.g. GilbertElliottChannel). The model also
-  /// provides the long-run p_n reported by success_prob().
-  Medium(sim::Simulator& simulator, std::unique_ptr<ChannelModel> channel, std::uint64_t seed,
-         util::Arena* arena = nullptr);
+  /// `channel` is the loss process: StaticChannel is the paper's i.i.d.
+  /// Bernoulli(p_n) model, and any model reports its long-run p_n through
+  /// success_prob(). `graph` decides which overlaps collide and who senses
+  /// whom; InterferenceGraph::complete(n) is the paper's single collision
+  /// domain. `arena`, when given, backs the cold per-link state (counters,
+  /// views, collision ledger) — the sharded Network shares one arena across
+  /// all cell media; when null the Medium brings its own (borrowed, not
+  /// owned, must outlive the Medium).
   Medium(sim::Simulator& simulator, std::unique_ptr<ChannelModel> channel,
-         InterferenceGraph topology, std::uint64_t seed, util::Arena* arena = nullptr);
+         InterferenceGraph graph, std::uint64_t seed, util::Arena* arena = nullptr);
 
   Medium(const Medium&) = delete;
   Medium& operator=(const Medium&) = delete;
@@ -178,14 +171,16 @@ class Medium {
   // ends. The burst API exploits that: the caller simulates the chain
   // synchronously (one burst_tx per packet, outcomes returned immediately
   // in the same loss-stream order the per-event path would draw them) and
-  // the medium schedules a single idle-transition event at the end, instead
-  // of one completion event per packet. Semantically identical to chained
-  // start_transmission calls — the equivalence tests assert it bit-for-bit.
+  // end_burst performs the single idle transition, instead of one
+  // completion event per packet. Both paths share the per-packet
+  // accounting and the busy/idle edge routines, so the burst is identical to
+  // chained start_transmission calls — MediumTest.BurstMatchesEventChain
+  // asserts it bit-for-bit.
 
   /// True when the burst path may be used right now: complete sensing, the
   /// medium idle, and not inside a listener callback.
   [[nodiscard]] bool burst_available() const {
-    return complete_sensing_ && active_count_ == 0 && !dispatching_listeners_;
+    return complete_sensing_ && !busy() && !burst_active_ && !dispatching_listeners_;
   }
 
   /// Opens an exclusive burst at now(). Precondition: burst_available().
@@ -203,7 +198,7 @@ class Medium {
   void end_burst(TimePoint end);
 
   /// Carrier-sense, global view: is any transmission in flight right now?
-  [[nodiscard]] bool busy() const { return active_count_ > 0; }
+  [[nodiscard]] bool busy() const { return global_view_.active > 0; }
 
   /// Carrier-sense as seen from `node`: is any link that `node` senses
   /// transmitting? `kAllNodes` selects the global view. Under complete
@@ -219,7 +214,9 @@ class Medium {
   void add_listener(MediumListener* listener) { add_listener(listener, kAllNodes); }
 
   /// Registers an observer of `node`'s sense view. Listeners are notified
-  /// in registration order whenever their view transitions.
+  /// in registration order whenever their view transitions. Under complete
+  /// sensing every per-node view is the global view, so the listener is
+  /// filed under the global view.
   void add_listener(MediumListener* listener, LinkId node);
 
   [[nodiscard]] const InterferenceGraph& topology() const { return graph_; }
@@ -320,8 +317,8 @@ class Medium {
   /// Attaches a metrics registry (not owned; null detaches). Like the
   /// tracer, the medium is the distribution point: MAC components that hold
   /// a Medium& read the registry from here, so attaching once instruments
-  /// the whole stack. The medium itself contributes a busy-period duration
-  /// histogram (channel-occupancy burst structure, which the aggregate
+  /// the whole stack. The medium itself contributes a busy-period quantile
+  /// sketch (channel-occupancy burst structure, which the aggregate
   /// MediumCounters cannot reconstruct); everything else it accounts is
   /// exported from MediumCounters by obs::collect_network_metrics.
   void set_metrics(obs::MetricsRegistry* registry);
@@ -363,12 +360,31 @@ class Medium {
 
   struct ListenerEntry {
     MediumListener* listener;
-    LinkId node;  ///< kAllNodes = global view
+    LinkId view;  ///< mark_index() of the observed view
   };
 
   void finish_transmission(std::uint64_t tx_id);
   [[nodiscard]] SenseView& view_of(LinkId node) {
     return node == kAllNodes ? global_view_ : views_[node];
+  }
+  /// Slot of `node`'s view in marks_: the node itself, n for the global view.
+  [[nodiscard]] LinkId mark_index(LinkId node) const {
+    return node == kAllNodes ? static_cast<LinkId>(num_links_) : node;
+  }
+  /// Marks `node`'s view as having an edge awaiting dispatch_marked.
+  void mark(LinkId node) {
+    const LinkId index = mark_index(node);
+    marks_[index] = 1;
+    marked_[marked_count_++] = index;
+  }
+  /// Visits the views a transmission on `link` drives: the nodes that sense
+  /// it (none of their own under complete sensing), then the global view.
+  template <typename Fn>
+  void for_each_view(LinkId link, Fn&& fn) {
+    if (!complete_sensing_) {
+      for (LinkId node : graph_.sensed_by(link)) fn(node);
+    }
+    fn(kAllNodes);
   }
   /// The loss stream for `link`. Complete graphs draw from one shared
   /// stream in completion order (the paper's model, frozen by the golden
@@ -386,8 +402,6 @@ class Medium {
     return static_probs_ != nullptr ? loss_rng_for(link).bernoulli(static_probs_[link])
                                     : channel_->attempt_succeeds(link, loss_rng_for(link));
   }
-  /// Allocates the pair ledger and the per-link SoA blocks from the arena.
-  void init_link_state();
   /// Counts one pairwise collision event between a and b (symmetric; the
   /// self pair a == b counts once).
   void count_collision_pair(LinkId a, LinkId b) {
@@ -396,25 +410,42 @@ class Medium {
     ++pair_count_[ab];
     if (a != b) ++pair_count_[graph_.conflict_slot(b, a)];
   }
+
+  // ---- one packet lifecycle, shared by the event, burst and remote paths ----
+  /// Start accounting: tx counters and the kTxStart record.
+  void record_start(LinkId link, TimePoint at, Duration airtime, PacketKind kind);
+  /// Completion accounting for a packet ending at `end`: airtime, the
+  /// outcome (one loss draw for a clean data packet), delivery latency and
+  /// the kTxEnd record.
+  TxOutcome settle(LinkId link, TimePoint end, Duration airtime, PacketKind kind, bool collided);
+  /// Busy entry: one more sensed transmission on `node`'s view; the first
+  /// opens a busy period and marks the view for dispatch.
+  void enter_busy(LinkId node, TimePoint now);
+  /// One sensed transmission left `node`'s view. Separate from exit_busy
+  /// because a completion drops its count before the initiator's callback
+  /// (which may chain the next packet) but decides the idle edge after it.
+  void release(LinkId node) {
+    SenseView& view = view_of(node);
+    RTMAC_ASSERT(view.active > 0, "unbalanced idle edge");
+    --view.active;
+  }
+  /// Idle exit: closes `node`'s busy period if nothing sensed is left in
+  /// flight (feeding phy.busy_period_us for the global view) and marks it.
+  void exit_busy(LinkId node, TimePoint now);
   /// Applies a phantom busy/idle edge to the given local views (remote
-  /// cut-edge activity; the global view and active_count_ stay untouched).
+  /// cut-edge activity; the global view stays untouched).
   void remote_mark(const std::vector<LinkId>& nodes, bool to_busy);
-  /// Marks views of `link`'s sensing nodes (plus the global view) that
-  /// transition in the given direction, updating their busy accounting.
-  void mark_transitions(LinkId link, bool to_busy, TimePoint now);
   /// Notifies listeners (in registration order) whose view is marked, then
-  /// clears the marks. Aborts re-entrant start_transmission while running.
+  /// clears exactly the marks that were set. Aborts re-entrant
+  /// start_transmission while running.
   void dispatch_marked(bool to_busy, TimePoint now);
-  /// Complete-sensing fast path: every view coincides with the global one,
-  /// so a global-view edge notifies every listener unconditionally.
-  void notify_all(bool to_busy, TimePoint now);
 
   sim::Simulator& sim_;
   std::unique_ptr<ChannelModel> channel_;
   InterferenceGraph graph_;
-  /// Cached graph_.complete_sensing(): selects the single-view fast path
-  /// (per-node views are never touched; all listeners share the global
-  /// view's transitions, which is exactly what a complete graph implies).
+  /// Cached graph_.complete_sensing(): per-node views are never touched and
+  /// every listener observes the global view, which is exactly what a
+  /// complete graph implies.
   bool complete_sensing_ = false;
   std::size_t num_links_ = 0;  ///< cached channel_->num_links()
   std::uint64_t seed_ = 0;     ///< root seed (loss streams re-key in shard mode)
@@ -424,16 +455,17 @@ class Medium {
   Rng loss_rng_;               ///< shared stream (complete graphs only)
   std::vector<Rng> loss_rngs_;  ///< per-link streams (partial topologies)
   std::vector<ActiveTx> active_;  // small: rarely more than a handful in flight
-  std::size_t active_count_ = 0;
   /// Cold per-link SoA blocks live in `arena_` (caller-shared, or the
   /// fallback `own_arena_` when constructed standalone), sized once at
   /// construction.
   util::Arena* arena_ = nullptr;
   std::unique_ptr<util::Arena> own_arena_;
   std::span<SenseView> views_;  ///< one per node (= per link)
-  SenseView global_view_;         ///< the kAllNodes view; feeds busy-period hist
-  std::span<std::uint8_t> marks_;  ///< per-view transition scratch; [n_] = global
-  bool any_marked_ = false;
+  SenseView global_view_;         ///< the kAllNodes view; feeds phy.busy_period_us
+  std::span<std::uint8_t> marks_;  ///< per-view edge flag; [n] = global
+  /// The set marks_, in marking order (each view at most once per dispatch).
+  std::span<LinkId> marked_;
+  std::size_t marked_count_ = 0;
   bool dispatching_listeners_ = false;  ///< re-entrancy guard (always enforced)
   bool burst_active_ = false;           ///< inside a begin_burst/end_burst pair
   std::uint64_t next_tx_id_ = 1;

@@ -1,6 +1,8 @@
 #include "util/args.hpp"
 
+#include <cerrno>
 #include <cstdlib>
+#include <stdexcept>
 
 namespace rtmac {
 
@@ -33,20 +35,35 @@ std::string ArgParser::get(const std::string& name, const std::string& def) cons
   return it == flags_.end() ? def : it->second;
 }
 
+namespace {
+
+/// Parses all of `raw` with `parse` (strtod/strtoll shape) or throws.
+template <typename T, typename Parse>
+T parse_number(const std::string& name, const std::string& raw, const char* what, Parse parse) {
+  char* end = nullptr;
+  errno = 0;
+  const T v = raw.empty() ? T{} : parse(raw.c_str(), &end);
+  if (raw.empty() || *end != '\0' || errno == ERANGE) {
+    throw std::invalid_argument("--" + name + " expects " + what + ", got \"" + raw + "\"");
+  }
+  return v;
+}
+
+}  // namespace
+
 double ArgParser::get(const std::string& name, double def) const {
   const auto it = flags_.find(name);
-  if (it == flags_.end() || it->second.empty()) return def;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  return (end != nullptr && *end == '\0') ? v : def;
+  if (it == flags_.end()) return def;
+  return parse_number<double>(name, it->second, "a number",
+                              [](const char* s, char** end) { return std::strtod(s, end); });
 }
 
 std::int64_t ArgParser::get(const std::string& name, std::int64_t def) const {
   const auto it = flags_.find(name);
-  if (it == flags_.end() || it->second.empty()) return def;
-  char* end = nullptr;
-  const long long v = std::strtoll(it->second.c_str(), &end, 10);
-  return (end != nullptr && *end == '\0') ? v : def;
+  if (it == flags_.end()) return def;
+  return parse_number<std::int64_t>(
+      name, it->second, "an integer",
+      [](const char* s, char** end) { return std::strtoll(s, end, 10); });
 }
 
 bool ArgParser::get(const std::string& name, bool def) const {

@@ -19,8 +19,10 @@ class ArgParser {
   /// True iff --name appeared (with or without a value).
   [[nodiscard]] bool has(const std::string& name) const;
 
-  /// Typed accessors with defaults. Malformed numbers fall back to the
-  /// default (tools treat flags as best-effort configuration).
+  /// Typed accessors with defaults for absent flags. A numeric flag that is
+  /// present must parse completely: an empty value, trailing junk or an
+  /// out-of-range number throws std::invalid_argument naming the flag, so a
+  /// typo never silently reruns the default configuration.
   [[nodiscard]] std::string get(const std::string& name, const std::string& def) const;
   [[nodiscard]] double get(const std::string& name, double def) const;
   [[nodiscard]] std::int64_t get(const std::string& name, std::int64_t def) const;

@@ -161,6 +161,18 @@ TEST(BenchCliTest, ZeroStreamEveryExit2) {
               "--stream-every must be >= 1");
 }
 
+TEST(BenchCliTest, MalformedOrOversizedIntegersExit2) {
+  // Each of these used to run a default configuration and exit 0.
+  EXPECT_EXIT(parse_bench({"bench", "--smoke", "--shards", "4294967296"}),
+              ::testing::ExitedWithCode(2), "--shards must be in");
+  EXPECT_EXIT(parse_bench({"bench", "--smoke", "--shards", "99999999999999999999999"}),
+              ::testing::ExitedWithCode(2), "--shards expects an integer");
+  EXPECT_EXIT(parse_bench({"bench", "--shard-jobs", "4294967296"}), ::testing::ExitedWithCode(2),
+              "--shard-jobs must be in");
+  EXPECT_EXIT(parse_bench({"bench", "--intervals", "5x"}), ::testing::ExitedWithCode(2),
+              "--intervals expects an integer");
+}
+
 TEST(BenchCliTest, ValidIntervalsParse) {
   const std::vector<const char*> args{"bench", "--intervals", "0", "--reps", "2"};
   const BenchArgs parsed = parse_bench_args(static_cast<int>(args.size()), args.data(), 100, 10);

@@ -23,7 +23,8 @@ class SchemeHarness {
       : phy_{phy},
         interval_length_{interval_length},
         success_prob_{std::move(p)},
-        medium_{sim_, success_prob_, seed},
+        medium_{sim_, std::make_unique<phy::StaticChannel>(success_prob_),
+                phy::InterferenceGraph::complete(success_prob_.size()), seed},
         debts_{std::move(q)},
         seed_{seed} {}
 

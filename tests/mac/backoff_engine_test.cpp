@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "helpers/static_medium.hpp"
 #include "phy/medium.hpp"
 #include "sim/simulator.hpp"
 
@@ -12,7 +13,7 @@ constexpr auto kSlot = Duration::microseconds(9);
 
 struct Fixture {
   sim::Simulator sim;
-  phy::Medium medium{sim, {1.0, 1.0, 1.0}, 99};
+  phy::Medium medium = test::static_medium(sim, {1.0, 1.0, 1.0}, 99);
 };
 
 TEST(BackoffEngineTest, ExpiresAfterCountSlotsOnIdleMedium) {
@@ -198,8 +199,8 @@ TEST(BackoffEngineTest, PerNodeViewIgnoresUnsensedTransmissions) {
   // sense view counts straight through link 0's transmission, while an
   // engine on the global view freezes for its whole duration.
   sim::Simulator sim;
-  phy::Medium medium{sim, {1.0, 1.0},
-                     phy::InterferenceGraph{phy::SparseTopology{2, {{1}, {0}}, {{}, {}}}}, 99};
+  phy::Medium medium = test::static_medium(
+      sim, {1.0, 1.0}, phy::InterferenceGraph{phy::SparseTopology{2, {{1}, {0}}, {{}, {}}}}, 99);
   BackoffEngine deaf{sim, medium, kSlot, /*sense_node=*/1};
   BackoffEngine global{sim, medium, kSlot};
   TimePoint deaf_fired;
@@ -220,8 +221,8 @@ TEST(BackoffEngineTest, PerNodeViewIgnoresUnsensedTransmissions) {
 TEST(BackoffEngineTest, PerNodeViewFreezesOnSensedTransmissions) {
   // The same engine does freeze for a transmission its node senses.
   sim::Simulator sim;
-  phy::Medium medium{sim, {1.0, 1.0},
-                     phy::InterferenceGraph{phy::SparseTopology{2, {{}, {}}, {{1}, {0}}}}, 99};
+  phy::Medium medium = test::static_medium(
+      sim, {1.0, 1.0}, phy::InterferenceGraph{phy::SparseTopology{2, {{}, {}}, {{1}, {0}}}}, 99);
   BackoffEngine engine{sim, medium, kSlot, /*sense_node=*/1};
   TimePoint fired;
   sim.schedule_in(Duration{}, [&] {

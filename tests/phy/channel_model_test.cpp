@@ -99,9 +99,9 @@ TEST(GilbertElliottTest, NetworkRunsWithBurstyChannel) {
 TEST(GilbertElliottTest, MediumReportsModelMean) {
   sim::Simulator sim;
   GilbertElliottParams p{.p_good = 0.9, .p_bad = 0.1, .good_to_bad = 0.1, .bad_to_good = 0.1};
-  Medium medium{sim, std::make_unique<GilbertElliottChannel>(
-                         std::vector<GilbertElliottParams>{p}),
-                11};
+  Medium medium{sim,
+                std::make_unique<GilbertElliottChannel>(std::vector<GilbertElliottParams>{p}),
+                InterferenceGraph::complete(1), 11};
   EXPECT_NEAR(medium.success_prob(0), p.mean_success(), 1e-12);
   EXPECT_EQ(medium.num_links(), 1u);
 }

@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "helpers/static_medium.hpp"
+#include "obs/metrics.hpp"
+#include "sim/shard_barrier.hpp"
 #include "sim/simulator.hpp"
+#include "sim/trace.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace rtmac::phy {
 namespace {
@@ -18,13 +26,13 @@ class RecordingListener final : public MediumListener {
 
 TEST(MediumTest, StartsIdle) {
   sim::Simulator sim;
-  Medium medium{sim, {1.0}, 1};
+  Medium medium = test::static_medium(sim, {1.0}, 1);
   EXPECT_FALSE(medium.busy());
 }
 
 TEST(MediumTest, BusyDuringTransmission) {
   sim::Simulator sim;
-  Medium medium{sim, {1.0}, 1};
+  Medium medium = test::static_medium(sim, {1.0}, 1);
   bool done = false;
   sim.schedule_in(Duration{}, [&] {
     medium.start_transmission(0, Duration::microseconds(330), PacketKind::kData,
@@ -42,7 +50,7 @@ TEST(MediumTest, BusyDuringTransmission) {
 
 TEST(MediumTest, ReliableChannelAlwaysDelivers) {
   sim::Simulator sim;
-  Medium medium{sim, {1.0}, 7};
+  Medium medium = test::static_medium(sim, {1.0}, 7);
   int delivered = 0;
   for (int i = 0; i < 50; ++i) {
     sim.schedule_in(Duration::microseconds(400 * i), [&] {
@@ -60,7 +68,7 @@ TEST(MediumTest, ReliableChannelAlwaysDelivers) {
 
 TEST(MediumTest, UnreliableChannelLossRateMatchesP) {
   sim::Simulator sim;
-  Medium medium{sim, {0.7}, 42};
+  Medium medium = test::static_medium(sim, {0.7}, 42);
   int delivered = 0;
   constexpr int kTx = 20000;
   for (int i = 0; i < kTx; ++i) {
@@ -77,7 +85,7 @@ TEST(MediumTest, UnreliableChannelLossRateMatchesP) {
 
 TEST(MediumTest, OverlappingTransmissionsAllCollide) {
   sim::Simulator sim;
-  Medium medium{sim, {1.0, 1.0}, 3};
+  Medium medium = test::static_medium(sim, {1.0, 1.0}, 3);
   std::vector<TxOutcome> outcomes;
   sim.schedule_in(Duration{}, [&] {
     medium.start_transmission(0, Duration::microseconds(100), PacketKind::kData,
@@ -96,7 +104,7 @@ TEST(MediumTest, OverlappingTransmissionsAllCollide) {
 
 TEST(MediumTest, BackToBackTransmissionsDoNotCollide) {
   sim::Simulator sim;
-  Medium medium{sim, {1.0}, 3};
+  Medium medium = test::static_medium(sim, {1.0}, 3);
   std::vector<TxOutcome> outcomes;
   sim.schedule_in(Duration{}, [&] {
     medium.start_transmission(0, Duration::microseconds(100), PacketKind::kData,
@@ -117,7 +125,7 @@ TEST(MediumTest, BackToBackTransmissionsDoNotCollide) {
 TEST(MediumTest, AdjacentTransmissionsDoNotCollide) {
   // A tx ending at t and another starting exactly at t must not overlap.
   sim::Simulator sim;
-  Medium medium{sim, {1.0, 1.0}, 3};
+  Medium medium = test::static_medium(sim, {1.0, 1.0}, 3);
   std::vector<TxOutcome> outcomes;
   sim.schedule_in(Duration{}, [&] {
     medium.start_transmission(0, Duration::microseconds(100), PacketKind::kData,
@@ -135,7 +143,7 @@ TEST(MediumTest, AdjacentTransmissionsDoNotCollide) {
 
 TEST(MediumTest, ListenersSeeBusyIdleTransitions) {
   sim::Simulator sim;
-  Medium medium{sim, {1.0}, 3};
+  Medium medium = test::static_medium(sim, {1.0}, 3);
   RecordingListener listener;
   medium.add_listener(&listener);
   sim.schedule_in(Duration::microseconds(10), [&] {
@@ -149,7 +157,7 @@ TEST(MediumTest, ListenersSeeBusyIdleTransitions) {
 
 TEST(MediumTest, NoDuplicateBusyOnBackToBackChain) {
   sim::Simulator sim;
-  Medium medium{sim, {1.0}, 3};
+  Medium medium = test::static_medium(sim, {1.0}, 3);
   RecordingListener listener;
   medium.add_listener(&listener);
   sim.schedule_in(Duration{}, [&] {
@@ -169,7 +177,7 @@ TEST(MediumTest, NoDuplicateBusyOnBackToBackChain) {
 
 TEST(MediumTest, EmptyPacketsAreNotSubjectToPayloadLoss) {
   sim::Simulator sim;
-  Medium medium{sim, {0.01}, 5};  // nearly-dead channel
+  Medium medium = test::static_medium(sim, {0.01}, 5);  // nearly-dead channel
   int delivered = 0;
   for (int i = 0; i < 200; ++i) {
     sim.schedule_in(Duration::microseconds(100 * i), [&] {
@@ -187,7 +195,7 @@ TEST(MediumTest, EmptyPacketsAreNotSubjectToPayloadLoss) {
 
 TEST(MediumTest, CountersTrackBusyAndCollidedTime) {
   sim::Simulator sim;
-  Medium medium{sim, {1.0, 1.0}, 3};
+  Medium medium = test::static_medium(sim, {1.0, 1.0}, 3);
   sim.schedule_in(Duration{}, [&] {
     medium.start_transmission(0, Duration::microseconds(100), PacketKind::kData, nullptr);
   });
@@ -201,7 +209,7 @@ TEST(MediumTest, CountersTrackBusyAndCollidedTime) {
 
 TEST(MediumTest, PerLinkCountersTrackAttribution) {
   sim::Simulator sim;
-  Medium medium{sim, {1.0, 1.0}, 3};
+  Medium medium = test::static_medium(sim, {1.0, 1.0}, 3);
   // Link 0 transmits twice (data), link 1 once (empty); no overlap.
   sim.schedule_in(Duration{}, [&] {
     medium.start_transmission(0, Duration::microseconds(100), PacketKind::kData, nullptr);
@@ -224,7 +232,7 @@ TEST(MediumTest, PerLinkCountersTrackAttribution) {
 
 TEST(MediumTest, PerLinkCollisionCounters) {
   sim::Simulator sim;
-  Medium medium{sim, {1.0, 1.0}, 3};
+  Medium medium = test::static_medium(sim, {1.0, 1.0}, 3);
   sim.schedule_in(Duration{}, [&] {
     medium.start_transmission(0, Duration::microseconds(100), PacketKind::kData, nullptr);
   });
@@ -239,7 +247,7 @@ TEST(MediumTest, PerLinkCollisionCounters) {
 
 TEST(MediumTest, ThreeWayCollision) {
   sim::Simulator sim;
-  Medium medium{sim, {1.0, 1.0, 1.0}, 3};
+  Medium medium = test::static_medium(sim, {1.0, 1.0, 1.0}, 3);
   int collisions = 0;
   for (LinkId n = 0; n < 3; ++n) {
     sim.schedule_in(Duration::microseconds(n), [&, n] {
@@ -268,7 +276,7 @@ InterferenceGraph hidden_pair() {
 
 TEST(MediumTopologyTest, OnlyConflictingLinksCollide) {
   sim::Simulator sim;
-  Medium medium{sim, {1.0, 1.0, 1.0}, pair_plus_independent(), 3};
+  Medium medium = test::static_medium(sim, {1.0, 1.0, 1.0}, pair_plus_independent(), 3);
   std::vector<TxOutcome> outcomes(3, TxOutcome::kDelivered);
   for (LinkId n = 0; n < 3; ++n) {
     sim.schedule_in(Duration::microseconds(n), [&, n] {
@@ -286,7 +294,7 @@ TEST(MediumTopologyTest, OnlyConflictingLinksCollide) {
 
 TEST(MediumTopologyTest, HiddenTerminalsCollideDespiteNotSensing) {
   sim::Simulator sim;
-  Medium medium{sim, {1.0, 1.0}, hidden_pair(), 3};
+  Medium medium = test::static_medium(sim, {1.0, 1.0}, hidden_pair(), 3);
   std::vector<TxOutcome> outcomes;
   sim.schedule_in(Duration{}, [&] {
     medium.start_transmission(0, Duration::microseconds(100), PacketKind::kData,
@@ -311,7 +319,7 @@ TEST(MediumTopologyTest, AdjacentTransmissionsDoNotConflictOnPartialTopology) {
   // ending at t does not conflict with one starting at t, even between
   // hidden terminals that cannot defer to each other.
   sim::Simulator sim;
-  Medium medium{sim, {1.0, 1.0}, hidden_pair(), 3};
+  Medium medium = test::static_medium(sim, {1.0, 1.0}, hidden_pair(), 3);
   std::vector<TxOutcome> outcomes;
   sim.schedule_in(Duration{}, [&] {
     medium.start_transmission(0, Duration::microseconds(100), PacketKind::kData,
@@ -330,7 +338,7 @@ TEST(MediumTopologyTest, AdjacentTransmissionsDoNotConflictOnPartialTopology) {
 
 TEST(MediumTopologyTest, PerNodeListenersOnlyHearSensedLinks) {
   sim::Simulator sim;
-  Medium medium{sim, {1.0, 1.0, 1.0}, pair_plus_independent(), 3};
+  Medium medium = test::static_medium(sim, {1.0, 1.0, 1.0}, pair_plus_independent(), 3);
   RecordingListener node0;
   RecordingListener node2;
   RecordingListener global;
@@ -355,7 +363,7 @@ TEST(MediumTopologyTest, SenseViewBusyPeriodsMergeAcrossSensedLinks) {
   // one.
   sim::Simulator sim;
   const InterferenceGraph graph{SparseTopology{3, {{}, {}, {}}, {{1}, {}, {}}}};
-  Medium medium{sim, {1.0, 1.0, 1.0}, graph, 3};
+  Medium medium = test::static_medium(sim, {1.0, 1.0, 1.0}, graph, 3);
   RecordingListener node0;   // senses links 0 and 1
   RecordingListener node1;   // senses only link 1
   medium.add_listener(&node0, 0);
@@ -380,7 +388,7 @@ TEST(MediumTopologyTest, SenseViewBusyPeriodsMergeAcrossSensedLinks) {
 
 TEST(MediumTopologyTest, CollisionPairCountsTrackPartners) {
   sim::Simulator sim;
-  Medium medium{sim, {1.0, 1.0, 1.0}, InterferenceGraph::complete(3), 3};
+  Medium medium = test::static_medium(sim, {1.0, 1.0, 1.0}, InterferenceGraph::complete(3), 3);
   // Two separate collision events: (0,1) then (0,2).
   sim.schedule_in(Duration{}, [&] {
     medium.start_transmission(0, Duration::microseconds(50), PacketKind::kData, nullptr);
@@ -403,9 +411,10 @@ TEST(MediumTopologyTest, CollisionPairCountsTrackPartners) {
 }
 
 TEST(MediumTopologyTest, CompleteTopologyCtorMatchesDefault) {
-  // The explicit complete graph must behave exactly like the default ctor.
+  // The explicit complete graph is the paper's model: every overlap
+  // collides and every node senses every link.
   sim::Simulator sim;
-  Medium medium{sim, {1.0, 1.0}, InterferenceGraph::complete(2), 3};
+  Medium medium = test::static_medium(sim, {1.0, 1.0}, InterferenceGraph::complete(2), 3);
   EXPECT_TRUE(medium.topology().is_complete());
   std::vector<TxOutcome> outcomes;
   sim.schedule_in(Duration{}, [&] {
@@ -421,6 +430,155 @@ TEST(MediumTopologyTest, CompleteTopologyCtorMatchesDefault) {
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_EQ(outcomes[0], TxOutcome::kCollision);
   EXPECT_EQ(outcomes[1], TxOutcome::kCollision);
+}
+
+// ---- One lifecycle: burst path and remote edges ------------------------------
+
+/// A Medium with every observer attached: a global listener, a tracer and
+/// a metrics registry (the busy-period and delivery-latency sketches).
+struct ObservedMedium {
+  sim::Simulator sim;
+  Medium medium = test::static_medium(sim, {0.6, 0.6}, 9);
+  RecordingListener listener;
+  sim::Tracer tracer;
+  obs::MetricsRegistry registry;
+  std::vector<TxOutcome> outcomes;
+
+  ObservedMedium() {
+    medium.add_listener(&listener);
+    medium.set_tracer(&tracer);
+    medium.set_metrics(&registry);
+    medium.note_interval_start(TimePoint::origin());
+  }
+  [[nodiscard]] std::string exported() const {
+    std::ostringstream out;
+    registry.write_jsonl(out);
+    return out.str();
+  }
+};
+
+struct ChainPacket {
+  Duration airtime;
+  PacketKind kind;
+};
+
+/// Long enough that the lossy channel both delivers and loses.
+const std::vector<ChainPacket> kChain = {
+    {Duration::microseconds(100), PacketKind::kData},
+    {Duration::microseconds(100), PacketKind::kData},
+    {Duration::microseconds(100), PacketKind::kData},
+    {Duration::microseconds(100), PacketKind::kData},
+    {Duration::microseconds(100), PacketKind::kData},
+    {Duration::microseconds(100), PacketKind::kData},
+    {Duration::microseconds(30), PacketKind::kEmpty},
+};
+
+/// Sends kChain[i..] back to back on link 0 through per-event completions.
+void send_event_chain(ObservedMedium& m, std::size_t i) {
+  m.medium.start_transmission(0, kChain[i].airtime, kChain[i].kind, [&m, i](TxOutcome o) {
+    m.outcomes.push_back(o);
+    if (i + 1 < kChain.size()) send_event_chain(m, i + 1);
+  });
+}
+
+TEST(MediumTest, BurstMatchesEventChain) {
+  ObservedMedium event;
+  event.sim.schedule_in(Duration::microseconds(10), [&] { send_event_chain(event, 0); });
+  event.sim.run();
+
+  ObservedMedium burst;
+  burst.sim.schedule_in(Duration::microseconds(10), [&] {
+    ASSERT_TRUE(burst.medium.burst_available());
+    burst.medium.begin_burst(0);
+    TimePoint t = burst.sim.now();
+    for (const ChainPacket& packet : kChain) {
+      burst.outcomes.push_back(burst.medium.burst_tx(0, t, packet.airtime, packet.kind));
+      t += packet.airtime;
+    }
+    burst.medium.end_burst(t);
+  });
+  burst.sim.run();
+
+  EXPECT_EQ(burst.outcomes, event.outcomes);
+  EXPECT_NE(std::count(event.outcomes.begin(), event.outcomes.end(), TxOutcome::kChannelLoss),
+            0);
+  const MediumCounters& b = burst.medium.counters();
+  const MediumCounters& e = event.medium.counters();
+  EXPECT_EQ(b.data_tx, e.data_tx);
+  EXPECT_EQ(b.empty_tx, e.empty_tx);
+  EXPECT_EQ(b.delivered, e.delivered);
+  EXPECT_EQ(b.channel_losses, e.channel_losses);
+  EXPECT_EQ(b.collisions, e.collisions);
+  EXPECT_EQ(b.busy_time, e.busy_time);
+  EXPECT_EQ(b.collided_time, e.collided_time);
+  for (LinkId link = 0; link < 2; ++link) {
+    const LinkCounters& bl = burst.medium.link_counters(link);
+    const LinkCounters& el = event.medium.link_counters(link);
+    EXPECT_EQ(bl.data_tx, el.data_tx);
+    EXPECT_EQ(bl.empty_tx, el.empty_tx);
+    EXPECT_EQ(bl.delivered, el.delivered);
+    EXPECT_EQ(bl.collisions, el.collisions);
+    EXPECT_EQ(bl.airtime, el.airtime);
+    EXPECT_EQ(burst.medium.sense_busy_time(link), event.medium.sense_busy_time(link));
+  }
+  EXPECT_EQ(burst.medium.sense_busy_time(Medium::kAllNodes), Duration::microseconds(630));
+  EXPECT_EQ(event.medium.sense_busy_time(Medium::kAllNodes), Duration::microseconds(630));
+  // One busy period, with the per-event path's edge timestamps.
+  ASSERT_EQ(event.listener.events.size(), 2u);
+  EXPECT_EQ(event.listener.events[0], std::make_pair('B', std::int64_t{10'000}));
+  EXPECT_EQ(event.listener.events[1], std::make_pair('I', std::int64_t{640'000}));
+  EXPECT_EQ(burst.listener.events, event.listener.events);
+  EXPECT_EQ(burst.tracer.render(), event.tracer.render());
+  EXPECT_EQ(event.tracer.count(sim::TraceKind::kTxEnd), kChain.size());
+  const std::string exported = event.exported();
+  EXPECT_NE(exported.find("\"name\":\"phy.busy_period_us\""), std::string::npos);
+  EXPECT_NE(exported.find("\"name\":\"phy.delivery_latency_us\""), std::string::npos);
+  EXPECT_EQ(burst.exported(), exported);
+}
+
+TEST(MediumTopologyTest, RemoteBusyPeriodMergesWithLocalTransmission) {
+  // Shard mode: node 0 also senses the remote link 7 of a neighbour cell.
+  // Each phantom busy period overlaps a local transmission node 0 senses;
+  // node 0's listener must see one merged period per overlap.
+  sim::Simulator sim;
+  const InterferenceGraph deaf{SparseTopology{2, {{}, {}}, {{}, {}}}};
+  Medium medium = test::static_medium(sim, {1.0, 1.0}, deaf, 3);
+  ShardMediumConfig config;
+  config.global_ids = {0, 1};
+  config.conflict_cut = {0, 0};
+  config.exported = {0, 0};
+  medium.configure_shard(std::move(config));  // lint-ok: shard-isolation remote-edge unit test
+  medium.register_remote_sense(7, {0});       // lint-ok: shard-isolation remote-edge unit test
+  RecordingListener node0;
+  RecordingListener node1;
+  RecordingListener global;
+  medium.add_listener(&node0, 0);
+  medium.add_listener(&node1, 1);
+  medium.add_listener(&global);
+  const auto at = [](int us) { return TimePoint::origin() + Duration::microseconds(us); };
+  {
+    const util::PhantomLock barrier{sim::shard_barrier};
+    // Starts inside the local [0, 100) and outlasts it; then covers the
+    // local [250, 300) entirely.
+    medium.inject_remote_activity(7, at(50), at(150));   // lint-ok: shard-isolation unit test
+    medium.inject_remote_activity(7, at(200), at(400));  // lint-ok: shard-isolation unit test
+  }
+  sim.schedule_in(Duration{}, [&] {
+    medium.start_transmission(0, Duration::microseconds(100), PacketKind::kData, nullptr);
+  });
+  sim.schedule_in(Duration::microseconds(250), [&] {
+    medium.start_transmission(0, Duration::microseconds(50), PacketKind::kData, nullptr);
+  });
+  sim.run();
+  using Edge = std::pair<char, std::int64_t>;
+  EXPECT_EQ(node0.events,
+            (std::vector<Edge>{{'B', 0}, {'I', 150'000}, {'B', 200'000}, {'I', 400'000}}));
+  EXPECT_EQ(medium.sense_busy_time(0), Duration::microseconds(350));
+  EXPECT_TRUE(node1.events.empty());
+  EXPECT_EQ(medium.sense_busy_time(1), Duration{});
+  // Remote activity never reaches the global (local-transmission) view.
+  EXPECT_EQ(global.events,
+            (std::vector<Edge>{{'B', 0}, {'I', 100'000}, {'B', 250'000}, {'I', 300'000}}));
 }
 
 // ---- Listener re-entrancy enforcement ---------------------------------------
@@ -439,7 +597,7 @@ class TransmitOnBusyListener final : public MediumListener {
 
 void transmit_synchronously_from_listener() {
   sim::Simulator sim;
-  Medium medium{sim, {1.0, 1.0}, 1};
+  Medium medium = test::static_medium(sim, {1.0, 1.0}, 1);
   TransmitOnBusyListener bad{medium};
   medium.add_listener(&bad);
   sim.schedule_in(Duration{}, [&] {

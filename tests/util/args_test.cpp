@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace rtmac {
 namespace {
 
@@ -44,10 +46,18 @@ TEST(ArgParserTest, PositionalArguments) {
   EXPECT_EQ(args.positional(), (std::vector<std::string>{"input.csv", "more"}));
 }
 
-TEST(ArgParserTest, MalformedNumberFallsBack) {
-  const auto args = parse({"--alpha", "not-a-number"});
-  EXPECT_DOUBLE_EQ(args.get("alpha", 0.25), 0.25);
-  EXPECT_EQ(args.get("alpha", std::int64_t{7}), 7);
+TEST(ArgParserTest, MalformedNumberThrows) {
+  // A present flag must parse completely; silently falling back to the
+  // default would rerun the default configuration on a typo.
+  const auto args = parse({"--alpha", "not-a-number", "--intervals", "5x", "--links=",
+                           "--big", "99999999999999999999999", "--huge", "1e999"});
+  EXPECT_THROW((void)args.get("alpha", 0.25), std::invalid_argument);
+  EXPECT_THROW((void)args.get("alpha", std::int64_t{7}), std::invalid_argument);
+  EXPECT_THROW((void)args.get("intervals", std::int64_t{7}), std::invalid_argument);
+  EXPECT_THROW((void)args.get("links", std::int64_t{7}), std::invalid_argument);
+  EXPECT_THROW((void)args.get("big", std::int64_t{7}), std::invalid_argument);
+  EXPECT_THROW((void)args.get("huge", 0.25), std::invalid_argument);
+  EXPECT_EQ(args.get("absent", std::int64_t{7}), 7);
 }
 
 TEST(ArgParserTest, DefaultsWhenMissing) {
