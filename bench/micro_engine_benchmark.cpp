@@ -252,6 +252,62 @@ BENCHMARK_CAPTURE(BM_DcfIntervalAllocs, per_link_engines, true);
 BENCHMARK_CAPTURE(BM_FcsmaIntervalAllocs, shared_clock, false);
 BENCHMARK_CAPTURE(BM_FcsmaIntervalAllocs, per_link_engines, true);
 
+// ---- sharded interval (chunked dispatch and coordinator rounds) --------------
+// One steady-state interval of a many-cell network on a 3-worker shard pool
+// (the calling thread runs a fourth chunk): a cut-free DCF city of 512
+// clusters of 8, dispatched as one ThreadPool::parallel_for per interval,
+// and an FCSMA hidden-terminal chain of 256 cells of 8, whose cuts add
+// coordinator barrier rounds, each with its own parallel_for. One group per
+// cell, as perfbench and city_scale configure them.
+net::NetworkConfig sharded_config(bool chain) {
+  const std::size_t cells = chain ? 256 : 512;
+  phy::SparseTopology topology = expfw::city_unit_disk_topology(cells, 8, 32);
+  if (chain) topology = expfw::chain_cells_topology(cells, 8);
+  net::NetworkConfig cfg = expfw::with_sparse_topology(
+      net::symmetric_network(cells * 8, Duration::milliseconds(2),
+                             phy::PhyParams::control_80211a(), 0.7,
+                             traffic::BernoulliArrivals{0.8}, 0.9, 31),
+      std::move(topology));
+  cfg.shards = cells;
+  cfg.shard_jobs = 3;
+  return cfg;
+}
+mac::SchemeFactory sharded_factory(bool chain) {
+  return chain ? expfw::fcsma_factory() : expfw::dcf_factory();
+}
+
+// Wall time per interval (the work runs on four threads, hence real time),
+// plus two informational counters: coordinator rounds per interval and
+// heap allocations per interval. The chain's allocations are high-water
+// growth outside the dispatch (the coordinator's fresh-record list, the
+// cut mailboxes, each Medium's cut outbox and each BackoffEngine's freeze
+// log), so only the city is gated below.
+void BM_ShardedInterval(benchmark::State& state, bool chain) {
+  net::NetworkConfig cfg = sharded_config(chain);
+  const auto links = static_cast<std::int64_t>(cfg.num_links());
+  net::Network net{std::move(cfg), sharded_factory(chain)};
+  net.run(8);  // warm-up
+  const std::uint64_t rounds_before = net.coordinator_rounds();
+  const std::uint64_t allocs_before = alloc_count();
+  for (auto _ : state) net.run(1);
+  const auto per_interval = [&state](std::uint64_t total) {
+    return static_cast<double>(total) / static_cast<double>(state.iterations());
+  };
+  state.counters["rounds_per_interval"] = per_interval(net.coordinator_rounds() - rounds_before);
+  state.counters["heap_allocs_per_interval"] = per_interval(alloc_count() - allocs_before);
+  state.SetItemsProcessed(state.iterations() * links);
+  state.SetLabel("items = link-intervals");
+}
+BENCHMARK_CAPTURE(BM_ShardedInterval, city, false)->UseRealTime();
+BENCHMARK_CAPTURE(BM_ShardedInterval, chain, true)->UseRealTime();
+
+// Zero-alloc gate for the chunked dispatch: a steady-state interval of the
+// city, its chunks run through parallel_for, must not touch the heap.
+void BM_ShardedIntervalAllocs(benchmark::State& state) {
+  interval_allocs(state, sharded_config(false), sharded_factory(false));
+}
+BENCHMARK(BM_ShardedIntervalAllocs);
+
 // ---- Medium transmission lifecycle -------------------------------------------
 // One transmission start and completion on an idle Medium, in the listener
 // shape of each backoff clock: the complete graph carries one global

@@ -33,8 +33,9 @@ BenchArgs parse_bench_args(int argc, const char* const* argv,
         << "  --shards N       partition each network into N shards (0 = one cell,\n"
         << "                   no partitioning; default: whatever the bench's\n"
         << "                   configs say). Results are byte-identical for any value.\n"
-        << "  --shard-jobs N   worker threads per sharded network (default: one\n"
-        << "                   per parallel group, capped at the core count)\n"
+        << "  --shard-jobs N   pool workers per sharded network, beside the calling\n"
+        << "                   thread (default 0 = one per core beyond the caller's;\n"
+        << "                   1 = serial)\n"
         << "  --smoke          tiny grid + short horizon for CI\n"
         << "  --metrics-out D  write JSONL metrics + engine profile under D\n"
         << "  --trace-out F    write a Perfetto-loadable Chrome trace to F\n"
@@ -93,7 +94,7 @@ BenchArgs parse_bench_args(int argc, const char* const* argv,
       std::exit(2);
     }
     if (args.has("shard-jobs") && (shard_jobs < 0 || shard_jobs > INT_MAX)) {
-      std::cerr << "--shard-jobs must be in [0, INT_MAX] (0 = one per group)\n";
+      std::cerr << "--shard-jobs must be in [0, INT_MAX] (0 = one per core beyond the caller's)\n";
       std::exit(2);
     }
     out.sweep.shards = static_cast<int>(shards);

@@ -1,7 +1,6 @@
 #include "net/network.hpp"
 
 #include <algorithm>
-#include <future>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -205,6 +204,26 @@ sim::ShardPlan plan_cells(const NetworkConfig& config) {
                                  config.sparse_topology->sense, config.shards);
 }
 
+/// Cuts `plan.groups` (count <= groups) into `count` contiguous chunks of
+/// about equal link count, each listing its groups' cells. O(cells).
+std::vector<std::vector<std::uint32_t>> chunk_groups(const sim::ShardPlan& plan,
+                                                     std::size_t count) {
+  std::vector<std::vector<std::uint32_t>> chunks(count);
+  std::size_t g = 0;
+  std::size_t taken = 0;  // links in chunks so far
+  for (std::size_t w = 0; w < count; ++w) {
+    // Fill chunk w to its share of the links, leaving a group per later chunk.
+    while (g + (count - w) <= plan.groups.size() &&
+           (chunks[w].empty() || taken < plan.num_links() * (w + 1) / count)) {
+      for (const std::uint32_t c : plan.groups[g++]) {
+        chunks[w].push_back(c);
+        taken += plan.cells[c].size();
+      }
+    }
+  }
+  return chunks;
+}
+
 }  // namespace
 
 Network::Network(NetworkConfig config, const mac::SchemeFactory& scheme_factory)
@@ -371,14 +390,16 @@ void Network::build_cells(const mac::SchemeFactory& scheme_factory) {
     cells_.push_back(std::move(cell));
   }
 
-  // A single group runs serially; skip the hardware query (a syscall that
+  // Pool workers run chunks beside the calling thread (see shard_jobs). A
+  // single group runs serially; skip the hardware query (a syscall that
   // would dominate a small network's construction).
-  if (plan_.groups.size() > 1) {
-    const std::size_t jobs =
-        std::min(config_.shard_jobs != 0 ? config_.shard_jobs : ThreadPool::hardware_threads(),
-                 plan_.groups.size());
-    if (jobs > 1) pool_ = std::make_unique<ThreadPool>(jobs);
+  if (plan_.groups.size() > 1 && config_.shard_jobs != 1) {
+    const std::size_t requested =
+        config_.shard_jobs != 0 ? config_.shard_jobs : ThreadPool::hardware_threads() - 1;
+    const std::size_t workers = std::min(requested, plan_.groups.size() - 1);
+    if (workers > 0) pool_ = std::make_unique<ThreadPool>(workers);
   }
+  chunks_ = chunk_groups(plan_, pool_ != nullptr ? pool_->size() + 1 : 1);
 
   if (has_cuts) {
     // Cells coupled by ANY cut relation bound each other's windows. Sense
@@ -403,7 +424,7 @@ void Network::build_cells(const mac::SchemeFactory& scheme_factory) {
     cell_ptrs.reserve(num_cells);
     for (const auto& cell : cells_) cell_ptrs.push_back(cell.get());
     coordinator_ = std::make_unique<sim::ShardCoordinator>(
-        std::move(cell_ptrs), std::move(cut_neighbors), plan_.groups, pool_.get(),
+        std::move(cell_ptrs), std::move(cut_neighbors), chunks_, pool_.get(),
         config_.adaptive_lookahead);
   }
 }
@@ -523,9 +544,9 @@ void Network::run_cells(IntervalIndex k, TimePoint start, TimePoint end) {
     }
   } else {
     // Cut-free path: cells are fully independent, so the whole interval
-    // (begin / run / end / debts) folds into one task per group.
-    auto run_group = [&](const std::vector<std::uint32_t>& group) {
-      for (const std::uint32_t ci : group) {
+    // (begin / run / end / debts) folds into one loop per chunk.
+    const auto run_chunk = [&](std::size_t w) {
+      for (const std::uint32_t ci : chunks_[w]) {
         Cell& cell = *cells_[ci];
         RTMAC_ASSERT(cell.sim.now() == start, "interval boundaries drifted");
         // Anchors the delivery-latency series.
@@ -539,15 +560,9 @@ void Network::run_cells(IntervalIndex k, TimePoint start, TimePoint end) {
       }
     };
     if (pool_ != nullptr) {
-      std::vector<std::future<void>> futures;
-      futures.reserve(plan_.groups.size());
-      for (const auto& group : plan_.groups) {
-        futures.push_back(pool_->submit([&run_group, &group] { run_group(group); }));
-      }
-      pool_->wait_all(futures);
-      for (auto& f : futures) f.get();  // surface worker exceptions
+      pool_->parallel_for(chunks_.size(), run_chunk);
     } else {
-      for (const auto& group : plan_.groups) run_group(group);
+      run_chunk(0);
     }
   }
 

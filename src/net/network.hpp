@@ -186,7 +186,10 @@ class Network {
   std::vector<LinkId> local_of_;  ///< global id -> index within its cell
   std::unique_ptr<CutState> cut_;  ///< cross-cell resolver; outlives the cells
   std::vector<std::unique_ptr<Cell>> cells_;
-  std::unique_ptr<ThreadPool> pool_;                   ///< null = serial groups
+  std::unique_ptr<ThreadPool> pool_;  ///< null = one chunk, run serially
+  /// Cell indices per parallel chunk: plan_.groups cut into pool size + 1
+  /// contiguous runs of about equal link count (DESIGN §4i).
+  std::vector<std::vector<std::uint32_t>> chunks_;
   std::unique_ptr<sim::ShardCoordinator> coordinator_;  ///< null = cut-free plan
   std::vector<IntervalObserver> observers_;
   sim::Tracer* tracer_ = nullptr;

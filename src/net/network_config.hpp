@@ -58,7 +58,10 @@ struct NetworkConfig {
   /// are independent of S and of shard_jobs). S >= 1 requires the default
   /// Bernoulli channel.
   std::size_t shards = 0;
-  /// Worker threads driving shard groups; 0 = min(groups, hardware).
+  /// Pool workers running shard chunks beside the calling thread, which
+  /// runs one chunk too: 0 = one per hardware thread beyond the caller's
+  /// (none on a 1-CPU host), 1 = serial on the calling thread, N >= 2 = N
+  /// workers. Capped at groups - 1.
   std::size_t shard_jobs = 0;
   /// Adaptive coordinator lookahead: cut windows extend to each neighbor
   /// cell's next pending event instead of its bare clock, skipping barrier

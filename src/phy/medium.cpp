@@ -37,6 +37,9 @@ Medium::Medium(sim::Simulator& simulator, std::unique_ptr<ChannelModel> channel,
       loss_rngs_.emplace_back(seed_, loss_stream_id(link));
     }
   }
+  // A link has at most one transmission in flight: a cell of up to 64 links
+  // never grows this list mid-run, however rare its largest collision.
+  active_.reserve(std::min<std::size_t>(num_links_, 64));
   if (arena_ == nullptr) {
     // Standalone construction: no shared arena, bring a private one.
     own_arena_ = std::make_unique<util::Arena>();
@@ -283,7 +286,7 @@ void Medium::start_transmission(LinkId link, Duration airtime, PacketKind kind, 
   }
 
   const std::uint64_t tx_id = next_tx_id_++;
-  active_.push_back(ActiveTx{link, kind, now, airtime, collided, std::move(done), tx_id});
+  active_.push_back(ActiveTx{now, airtime, tx_id, link, kind, collided, std::move(done)});
   sim_.schedule_in(airtime, [this, tx_id] { finish_transmission(tx_id); });
 
   if (shard_mode_) {

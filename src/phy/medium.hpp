@@ -337,14 +337,14 @@ class Medium {
   }
 
  private:
-  struct ActiveTx {
-    LinkId link;
-    PacketKind kind;
+  struct ActiveTx {  // small fields last: packs into 96 bytes
     TimePoint start;
     Duration airtime;
+    std::uint64_t id;
+    LinkId link;
+    PacketKind kind;
     bool collided;
     TxDone done;
-    std::uint64_t id;
   };
 
   /// One sense view's state. A completion callback may chain the next

@@ -1,6 +1,5 @@
 #include "sim/sharded_simulator.hpp"
 
-#include <future>
 #include <utility>
 
 #include "util/check.hpp"
@@ -9,11 +8,11 @@ namespace rtmac::sim {
 
 ShardCoordinator::ShardCoordinator(std::vector<ShardCell*> cells,
                                    std::vector<std::vector<std::uint32_t>> cut_neighbors,
-                                   std::vector<std::vector<std::uint32_t>> groups,
+                                   std::vector<std::vector<std::uint32_t>> chunks,
                                    ThreadPool* pool, bool adaptive_lookahead)
     : cells_{std::move(cells)},
       cut_neighbors_{std::move(cut_neighbors)},
-      groups_{std::move(groups)},
+      chunks_{std::move(chunks)},
       pool_{pool},
       adaptive_{adaptive_lookahead} {
   RTMAC_REQUIRE(!cells_.empty(), "coordinator needs at least one cell");
@@ -42,13 +41,15 @@ void ShardCoordinator::advance_to(TimePoint horizon) {
       if (done) break;
 
       // Drain outboxes in canonical cell order, then deliver each fresh
-      // record to every other cell (the receiving cell filters for
-      // relevance). Serial + ordered == deterministic mailbox contents.
+      // record to the cut neighbors of its cell, ascending. Only they can
+      // listen to it: a cell hearing a cut speaker shares a cut sense with
+      // the speaker's cell, so every other cell would ignore the record.
+      // Serial + ordered == deterministic mailbox contents.
       fresh_.clear();
       for (auto* cell : cells_) cell->drain_outbox(fresh_);
       for (const CutTxRecord& record : fresh_) {
-        for (std::uint32_t c = 0; c < cells_.size(); ++c) {
-          if (c != record.cell) cells_[c]->deliver_remote(record);
+        for (const std::uint32_t c : cut_neighbors_[record.cell]) {
+          cells_[c]->deliver_remote(record);
         }
       }
       // Activity bounds are probed AFTER the deliveries above: injections
@@ -70,25 +71,16 @@ void ShardCoordinator::advance_to(TimePoint horizon) {
       }
     }
 
-    // Parallel phase: each group advances its cells toward the horizon.
-    if (pool_ != nullptr && groups_.size() > 1) {
-      std::vector<std::future<void>> futures;
-      futures.reserve(groups_.size());
-      for (const auto& group : groups_) {
-        futures.push_back(pool_->submit([this, &group, horizon] {
-          for (std::uint32_t c : group) {
-            if (cells_[c]->clock() < horizon) cells_[c]->run_window(horizon);
-          }
-        }));
+    // Parallel phase: each chunk advances its cells toward the horizon.
+    const auto run_chunk = [this, horizon](std::size_t w) {
+      for (const std::uint32_t c : chunks_[w]) {
+        if (cells_[c]->clock() < horizon) cells_[c]->run_window(horizon);
       }
-      pool_->wait_all(futures);
-      for (auto& f : futures) f.get();  // surface task exceptions
+    };
+    if (pool_ != nullptr) {
+      pool_->parallel_for(chunks_.size(), run_chunk);
     } else {
-      for (const auto& group : groups_) {
-        for (std::uint32_t c : group) {
-          if (cells_[c]->clock() < horizon) cells_[c]->run_window(horizon);
-        }
-      }
+      for (std::size_t w = 0; w < chunks_.size(); ++w) run_chunk(w);
     }
     ++rounds_;
 

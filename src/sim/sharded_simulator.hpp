@@ -7,14 +7,14 @@
 //
 //   1. Barrier (serial, deterministic cell order): every cell drains its
 //      outbox of finished/started cut-link transmissions into the shared
-//      mailbox; fresh records are handed to the other cells (remote-sense
-//      injection) and to the cross-shard collision ledger.
+//      mailbox; fresh records are handed to the cut-neighbor cells
+//      (remote-sense injection) and to the cross-shard collision ledger.
 //   2. Each cell i gets a resolution bound R_i = min(horizon, min activity
 //      bound of its cut-neighbor cells). A cut-link completion at time t
 //      can be resolved exactly once no conflicting neighbor can still start
 //      a transmission at a time < t — all overlapping remote transmissions
 //      are then in the mailbox.
-//   3. Parallel phase: groups of cells run concurrently, each cell's
+//   3. Parallel phase: chunks of cells run concurrently, each cell's
 //      Simulator bounded by a run limit = the earliest unresolvable
 //      cut completion (end > R_i); the clock stops there.
 //
@@ -80,8 +80,9 @@ class ShardCell {
   /// drain (in start-time order) and forgets them locally.
   virtual void drain_outbox(std::vector<CutTxRecord>& into)
       RTMAC_REQUIRES(shard_barrier) = 0;
-  /// Barrier phase: offers a fresh remote record; the cell injects it into
-  /// its sense views if any of its links listens to `record.link`.
+  /// Barrier phase: offers a fresh remote record from a cut-neighbor cell;
+  /// the cell injects it into its sense views if any of its links listens
+  /// to `record.link`.
   virtual void deliver_remote(const CutTxRecord& record)
       RTMAC_REQUIRES(shard_barrier) = 0;
   /// Barrier phase: earliest instant at which this cell could still start
@@ -104,15 +105,17 @@ class ShardCell {
 /// Advances a set of shard cells to successive horizons.
 class ShardCoordinator {
  public:
-  /// `cut_neighbors[i]` = cells sharing at least one cut conflict edge with
-  /// cell i (these bound cell i's resolution window). `groups[g]` = cell
-  /// indices run by worker g in the parallel phase. `pool` may be null for
-  /// serial execution; it is borrowed, not owned. `adaptive_lookahead`
+  /// `cut_neighbors[i]` = cells sharing at least one cut edge (conflict or
+  /// sense) with cell i, ascending: they bound cell i's resolution window,
+  /// and only they receive cell i's cut records. `chunks[w]` = cell indices
+  /// run by one ThreadPool::parallel_for index in the parallel phase. `pool`
+  /// may be null for serial execution; it is borrowed, not owned.
+  /// `adaptive_lookahead`
   /// selects next_activity_bound() (default) over bare clocks when
   /// computing the per-round resolution bounds.
   ShardCoordinator(std::vector<ShardCell*> cells,
                    std::vector<std::vector<std::uint32_t>> cut_neighbors,
-                   std::vector<std::vector<std::uint32_t>> groups, ThreadPool* pool,
+                   std::vector<std::vector<std::uint32_t>> chunks, ThreadPool* pool,
                    bool adaptive_lookahead = true);
 
   /// Runs rounds until every cell's clock reaches `horizon`.
@@ -125,7 +128,7 @@ class ShardCoordinator {
  private:
   std::vector<ShardCell*> cells_;
   std::vector<std::vector<std::uint32_t>> cut_neighbors_;
-  std::vector<std::vector<std::uint32_t>> groups_;
+  std::vector<std::vector<std::uint32_t>> chunks_;
   ThreadPool* pool_;
   bool adaptive_;
   std::uint64_t rounds_ = 0;

@@ -1,9 +1,24 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
 namespace rtmac {
+
+/// One parallel_for call, on its caller's stack. `next` is the only field
+/// touched without the pool mutex; `helpers` keeps the caller from
+/// returning (and destroying the job) while a worker is still inside it.
+struct ThreadPool::ForJob {
+  void (*call)(const void*, std::size_t);
+  const void* ctx;
+  std::size_t n;
+  std::atomic<std::size_t> next;  ///< next index to claim
+  std::size_t helpers;            ///< workers inside work_on; guarded by mutex_
+  std::exception_ptr error;       ///< first exception thrown; guarded by mutex_
+};
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
@@ -43,10 +58,21 @@ void ThreadPool::enqueue(Task task) {
 void ThreadPool::worker_loop() {
   // Explicit while-loop rather than the predicate form of wait(): the
   // thread-safety analysis cannot see held capabilities inside a predicate
-  // lambda, so the guarded reads of stopping_/queue_ live in this scope.
+  // lambda, so the guarded reads of stopping_/queue_/job_ live in this scope.
   util::LockGuard lock{mutex_};
   for (;;) {
-    while (!stopping_ && queue_.empty()) work_available_.wait(lock);
+    while (!stopping_ && queue_.empty() && job_ == nullptr) work_available_.wait(lock);
+    if (job_ != nullptr) {
+      // A parallel_for first: its caller is blocked on it.
+      ForJob& job = *job_;
+      ++job.helpers;
+      lock.unlock();
+      work_on(job);
+      lock.lock();
+      if (job_ == &job) job_ = nullptr;  // exhausted: nothing left to claim
+      if (--job.helpers == 0) job_left_.notify_all();
+      continue;
+    }
     if (queue_.empty()) return;  // stopping_ and drained
     Task task = std::move(queue_.front());
     queue_.pop_front();
@@ -66,6 +92,40 @@ bool ThreadPool::run_one() {
   }
   task();
   return true;
+}
+
+void ThreadPool::run_for(std::size_t n, void (*call)(const void*, std::size_t),
+                         const void* ctx) {
+  ForJob job{call, ctx, n, {0}, 0, nullptr};
+  std::size_t wakes = 0;
+  {
+    const util::LockGuard lock{mutex_};
+    // One open job at a time; a nested or concurrent call runs serially.
+    if (job_ == nullptr) {
+      job_ = &job;
+      wakes = std::min(n, workers_.size() + 1);  // the caller takes one index
+    }
+  }
+  for (; wakes > 1; --wakes) work_available_.notify_one();
+  work_on(job);
+  util::LockGuard lock{mutex_};
+  if (job_ == &job) job_ = nullptr;
+  while (job.helpers != 0) job_left_.wait(lock);
+  if (job.error) std::rethrow_exception(job.error);
+}
+
+void ThreadPool::work_on(ForJob& job) {
+  for (;;) {
+    const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= job.n) return;
+    try {
+      job.call(job.ctx, i);
+    } catch (...) {
+      job.next.store(job.n, std::memory_order_relaxed);  // skip unstarted indices
+      const util::LockGuard lock{mutex_};
+      if (!job.error) job.error = std::current_exception();
+    }
+  }
 }
 
 void ThreadPool::wait_until(const std::function<bool()>& ready) {

@@ -10,6 +10,7 @@
 #include <iterator>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -190,46 +191,108 @@ TEST(ShardedNetworkTest, ResultsAreIndependentOfShardCountAndWorkerCount) {
   }
 }
 
+/// The two sparse shapes: a cut-free unit-disk city of 64 clusters (DCF)
+/// and a hidden-terminal chain of 16 cells, whose cuts engage the
+/// coordinator when it is bisected (FCSMA).
+struct SparseCase {
+  const char* name;
+  phy::SparseTopology topology;
+  mac::SchemeFactory factory;
+  std::size_t cells;
+};
+
+std::vector<SparseCase> sparse_cases() {
+  std::vector<SparseCase> cases;
+  cases.push_back({"city", expfw::city_unit_disk_topology(64, 8, 2024), expfw::dcf_factory(), 64});
+  cases.push_back({"chain", expfw::chain_cells_topology(16, 8), expfw::fcsma_factory(), 16});
+  return cases;
+}
+
+/// 20 intervals of `c` at `shards`/`shard_jobs`. The metrics export is left
+/// out: at this size one registry's latency sketch compacts while each
+/// cell's stays exact, so estimated quantiles depend on the engine shape.
+RunRecord sparse_run(const SparseCase& c, std::size_t shards, std::size_t shard_jobs = 0) {
+  auto cfg = expfw::with_sparse_topology(
+      net::symmetric_network(c.topology.num_links, Duration::milliseconds(2),
+                             phy::PhyParams::control_80211a(), 0.7,
+                             traffic::BernoulliArrivals{0.8}, 0.9, 77),
+      c.topology);
+  cfg.shards = shards;
+  cfg.shard_jobs = shard_jobs;
+  RunRecord rec = run_network(std::move(cfg), c.factory, 20);
+  rec.metrics_jsonl.clear();
+  return rec;
+}
+
 TEST(ShardedNetworkTest, SparseTopologyResultsAreIndependentOfEngineShape) {
   // One cell over every link (shards 0), the partitioner's components
   // (shards 1: the city's 64 clusters, the whole chain), four groups (the
   // chain bisected into four cut cells), and one group per clique must all
   // produce the same run: deliveries, debts, channel counters and collision
-  // ledger. The metrics export is left out: at this size one registry's
-  // latency sketch compacts while each cell's stays exact, so estimated
-  // quantiles depend on the engine shape.
-  struct Case {
-    const char* name;
-    phy::SparseTopology topology;
-    mac::SchemeFactory factory;
-    std::size_t cells;
-  };
-  const Case cases[] = {
-      {"city", expfw::city_unit_disk_topology(64, 8, 2024), expfw::dcf_factory(), 64},
-      {"chain", expfw::chain_cells_topology(16, 8), expfw::fcsma_factory(), 16},
-  };
-  for (const Case& c : cases) {
-    const auto config = [&c](std::size_t shards) {
-      auto cfg = expfw::with_sparse_topology(
-          net::symmetric_network(c.topology.num_links, Duration::milliseconds(2),
-                                 phy::PhyParams::control_80211a(), 0.7,
-                                 traffic::BernoulliArrivals{0.8}, 0.9, 77),
-          c.topology);
-      cfg.shards = shards;
-      return cfg;
-    };
-    const auto results = [&](std::size_t shards) {
-      RunRecord rec = run_network(config(shards), c.factory, 20);
-      rec.metrics_jsonl.clear();
-      return rec;
-    };
-    const RunRecord one_cell = results(0);
+  // ledger.
+  for (const SparseCase& c : sparse_cases()) {
+    const RunRecord one_cell = sparse_run(c, 0);
     EXPECT_GT(one_cell.delivered, 0U) << c.name;
     EXPECT_GT(one_cell.collisions, 0U) << c.name;
     for (const std::size_t shards : {1UL, 4UL, c.cells}) {
-      expect_same_run(one_cell, results(shards),
+      expect_same_run(one_cell, sparse_run(c, shards),
                       std::string{c.name} + " shards=" + std::to_string(shards));
     }
+  }
+}
+
+TEST(ShardedNetworkTest, ChunkedDispatchIsIndependentOfShardJobs) {
+  // One group per cell, cut into 1, 3, 4 and 5 chunks (shard_jobs 1 runs
+  // serially; N >= 2 adds N workers to the calling thread). 3 and 5 divide
+  // neither 64 nor 16, so uneven chunk boundaries are covered on the
+  // cut-free city and on the coordinator-driven chain alike.
+  for (const SparseCase& c : sparse_cases()) {
+    const RunRecord serial = sparse_run(c, c.cells, 1);
+    EXPECT_GT(serial.delivered, 0U) << c.name;
+    for (const std::size_t jobs : {2UL, 3UL, 4UL}) {
+      expect_same_run(serial, sparse_run(c, c.cells, jobs),
+                      std::string{c.name} + " shard_jobs=" + std::to_string(jobs));
+    }
+  }
+}
+
+/// A scheme that delegates to `inner` but, when `fail` is set, throws from
+/// begin_interval at interval 2.
+class FailingScheme final : public mac::MacScheme {
+ public:
+  FailingScheme(std::unique_ptr<mac::MacScheme> inner, bool fail)
+      : inner_{std::move(inner)}, fail_{fail} {}
+  void begin_interval(IntervalIndex k, std::span<const int> arrivals,
+                      TimePoint interval_end) override {
+    if (fail_ && k == 2) throw std::runtime_error{"cell scheme failed"};
+    inner_->begin_interval(k, arrivals, interval_end);
+  }
+  void end_interval(std::span<int> delivered) override { inner_->end_interval(delivered); }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+  [[nodiscard]] std::size_t pending_events_per_link() const override {
+    return inner_->pending_events_per_link();
+  }
+
+ private:
+  std::unique_ptr<mac::MacScheme> inner_;
+  bool fail_;
+};
+
+TEST(ShardedNetworkTest, CellExceptionOnTheCutFreePathIsRethrownAndTheNetworkDestructs) {
+  // 12 disconnected cells of 4 on a 3-worker pool: the cell holding link 40
+  // throws inside a parallel chunk. Network::run must surface the exception,
+  // and destruction must not wait on a worker that never comes back.
+  const mac::SchemeFactory dcf = expfw::dcf_factory();
+  const mac::SchemeFactory factory = [&dcf](const mac::SchemeContext& ctx) {
+    return std::make_unique<FailingScheme>(dcf(ctx), ctx.global_id(0) == 40);
+  };
+  auto cfg = cells_config(7, /*shards=*/12, /*num_links=*/48);
+  cfg.shard_jobs = 3;
+  {
+    Network network{std::move(cfg), factory};
+    ASSERT_EQ(network.cell_count(), 12U);
+    network.run(2);
+    EXPECT_THROW(network.run(1), std::runtime_error);
   }
 }
 

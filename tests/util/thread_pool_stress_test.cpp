@@ -1,17 +1,20 @@
 // Stress tests for the help-executing ThreadPool. This is the suite the TSan
-// CI lane runs hot: every test hammers the submit/wait paths from multiple
-// threads at once so data races in the queue, the nested-wait help loop, or
-// the shutdown path surface as sanitizer reports rather than rare flakes.
+// CI lane runs hot: every test hammers the submit/wait and parallel_for
+// paths from multiple threads at once so data races in the queue, the
+// nested-wait help loop, the fork-join job slot, or the shutdown path
+// surface as sanitizer reports rather than rare flakes.
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "expfw/runner.hpp"
@@ -189,6 +192,106 @@ TEST(ThreadPoolStress, WaitUntilHelpsFromManyThreadsAtOnce) {
   pool.wait_until([&done] { return done.load() == kTasks; });
   for (auto& t : helpers) t.join();
   EXPECT_EQ(done.load(), kTasks);
+}
+
+// ---- parallel_for -----------------------------------------------------------
+
+TEST(ThreadPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
+  for (const std::size_t workers : {1UL, 3UL}) {
+    ThreadPool pool{workers};
+    for (const std::size_t n : {0UL, 1UL, workers - 1, workers, workers + 1, 1000UL}) {
+      std::vector<std::atomic<int>> runs(n);
+      pool.parallel_for(n, [&runs](std::size_t i) {
+        burn(i);
+        runs[i].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(runs[i].load(), 1) << "workers=" << workers << " n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForRethrowsTheFirstExceptionAfterEveryHelperReturns) {
+  ThreadPool pool{3};
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<int> inside{0};
+    std::atomic<int> started{0};
+    bool caught = false;
+    try {
+      pool.parallel_for(8, [&](std::size_t i) {
+        inside.fetch_add(1);
+        started.fetch_add(1);
+        struct Leave {
+          std::atomic<int>& inside;
+          ~Leave() { inside.fetch_sub(1); }
+        } leave{inside};
+        if (i == 0) throw std::runtime_error{"index 0"};
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+      });
+    } catch (const std::runtime_error& e) {
+      caught = true;
+      EXPECT_STREQ(e.what(), "index 0");
+      // Every call that started has returned before the rethrow.
+      EXPECT_EQ(inside.load(), 0) << "round=" << round;
+    }
+    EXPECT_TRUE(caught) << "round=" << round;
+    EXPECT_GE(started.load(), 1);
+    EXPECT_LE(started.load(), 8);
+  }
+  // The pool survives a throwing loop.
+  std::atomic<int> sum{0};
+  pool.parallel_for(10, [&sum](std::size_t i) { sum.fetch_add(static_cast<int>(i)); });
+  EXPECT_EQ(sum.load(), 45);
+}
+
+TEST(ThreadPoolTest, ParallelForFromInsideATaskOnOneWorkerDoesNotDeadlock) {
+  // The only worker is busy running the task that calls parallel_for, so
+  // the calling task must run every index itself, nested loop included.
+  ThreadPool pool{1};
+  auto result = pool.submit([&pool] {
+    std::vector<std::uint64_t> out(64, 0);
+    pool.parallel_for(8, [&pool, &out](std::size_t o) {
+      pool.parallel_for(8, [&out, o](std::size_t i) { out[o * 8 + i] = burn(o * 8 + i); });
+    });
+    return out;
+  });
+  std::vector<std::future<std::vector<std::uint64_t>>> futures;
+  futures.push_back(std::move(result));
+  pool.wait_all(futures);
+  const std::vector<std::uint64_t> out = futures.front().get();
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], burn(i)) << i;
+}
+
+TEST(ThreadPoolTest, ParallelForPoolStaysReusableAcrossManyCalls) {
+  // The sharded network's shape: one short fork-join per interval or
+  // coordinator round, back to back, with workers + 1 chunks.
+  ThreadPool pool{3};
+  std::vector<std::uint64_t> slots(4, 0);
+  for (std::uint64_t call = 0; call < 10000; ++call) {
+    pool.parallel_for(slots.size(), [&slots, call](std::size_t i) { slots[i] += call + i; });
+  }
+  const std::uint64_t base = 10000ULL * 9999ULL / 2;
+  for (std::size_t i = 0; i < slots.size(); ++i) EXPECT_EQ(slots[i], base + 10000ULL * i) << i;
+}
+
+TEST(ThreadPoolTest, ParallelForFromManyThreadsAtOnce) {
+  // Several external callers share one pool: one loop is open at a time,
+  // and a caller that finds another loop open runs its own serially.
+  ThreadPool pool{2};
+  std::vector<std::thread> callers;
+  std::vector<std::uint64_t> sums(4, 0);
+  for (std::size_t c = 0; c < sums.size(); ++c) {
+    callers.emplace_back([&pool, &sums, c] {
+      for (int round = 0; round < 200; ++round) {
+        std::vector<std::uint64_t> parts(6, 0);
+        pool.parallel_for(parts.size(), [&parts](std::size_t i) { parts[i] = i + 1; });
+        sums[c] += std::accumulate(parts.begin(), parts.end(), std::uint64_t{0});
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (const std::uint64_t s : sums) EXPECT_EQ(s, 200U * 21U);
 }
 
 }  // namespace
