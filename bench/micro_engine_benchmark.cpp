@@ -15,6 +15,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -251,6 +252,37 @@ BENCHMARK_CAPTURE(BM_DcfIntervalAllocs, shared_clock, false);
 BENCHMARK_CAPTURE(BM_DcfIntervalAllocs, per_link_engines, true);
 BENCHMARK_CAPTURE(BM_FcsmaIntervalAllocs, shared_clock, false);
 BENCHMARK_CAPTURE(BM_FcsmaIntervalAllocs, per_link_engines, true);
+
+// ---- shared backoff clock scaling ---------------------------------------------
+// One steady-state FCSMA interval on a complete n-link domain (control
+// profile, Bernoulli(0.5) arrivals): every countdown runs on one
+// SharedBackoffClock, whose idle edges re-key only the countdowns whose tie
+// class changed, so the cost per event should barely grow with n.
+net::NetworkConfig shared_clock_config(std::size_t n) {
+  return net::symmetric_network(n, Duration::milliseconds(2), phy::PhyParams::control_80211a(),
+                                0.7, traffic::BernoulliArrivals{0.5}, 0.99, 21);
+}
+
+void BM_SharedClockInterval(benchmark::State& state) {
+  net::Network net{shared_clock_config(static_cast<std::size_t>(state.range(0))),
+                   expfw::fcsma_factory()};
+  net.run(8);  // warm-up
+  const std::uint64_t events_before = net.events_executed();
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) net.run(1);
+  const std::chrono::duration<double, std::nano> spent = std::chrono::steady_clock::now() - start;
+  const auto events = static_cast<double>(net.events_executed() - events_before);
+  state.counters["ns_per_event"] = spent.count() / events;
+  state.counters["events_per_interval"] = events / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_SharedClockInterval)->Arg(20)->Arg(256);
+
+// Zero-alloc gate for the shared clock at the larger domain.
+void BM_SharedClockIntervalAllocs(benchmark::State& state) {
+  interval_allocs(state, shared_clock_config(static_cast<std::size_t>(state.range(0))),
+                  expfw::fcsma_factory());
+}
+BENCHMARK(BM_SharedClockIntervalAllocs)->Arg(256);
 
 // ---- sharded interval (chunked dispatch and coordinator rounds) --------------
 // One steady-state interval of a many-cell network on a 3-worker shard pool

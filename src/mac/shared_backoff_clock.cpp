@@ -1,6 +1,5 @@
 #include "mac/shared_backoff_clock.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/check.hpp"
@@ -13,29 +12,45 @@ SharedBackoffClock::SharedBackoffClock(sim::Simulator& simulator, phy::Medium& m
     : sim_{simulator},
       medium_{medium},
       slot_{slot},
-      num_links_{num_links},
-      on_expire_{std::move(on_expire)} {
+      on_expire_{std::move(on_expire)},
+      countdowns_(num_links) {
   RTMAC_REQUIRE(slot.ns() > 0);
   heap_.reserve(num_links);
+  rekey_.reserve(num_links);
   medium_.add_listener(this);  // global view: the domain has complete sensing
 }
 
-void SharedBackoffClock::heap_push(Entry e) {
-  heap_.push_back(e);
-  std::push_heap(heap_.begin(), heap_.end(), [](const Entry& a, const Entry& b) {
-    if (a.deadline != b.deadline) return a.deadline > b.deadline;
-    return a.seq > b.seq;
-  });
+void SharedBackoffClock::place(std::size_t i, LinkId n) {
+  heap_[i] = n;
+  countdowns_[n].pos = static_cast<std::uint32_t>(i);
 }
 
-SharedBackoffClock::Entry SharedBackoffClock::heap_pop() {
-  std::pop_heap(heap_.begin(), heap_.end(), [](const Entry& a, const Entry& b) {
-    if (a.deadline != b.deadline) return a.deadline > b.deadline;
-    return a.seq > b.seq;
-  });
-  const Entry e = heap_.back();
+void SharedBackoffClock::sift(std::size_t i) {
+  // Restores the heap around index i after its key changed either way.
+  const LinkId n = heap_[i];
+  while (i > 0 && before(n, heap_[(i - 1) / 2])) {
+    place(i, heap_[(i - 1) / 2]);
+    i = (i - 1) / 2;
+  }
+  for (std::size_t c = 2 * i + 1; c < heap_.size(); c = 2 * i + 1) {
+    if (c + 1 < heap_.size() && before(heap_[c + 1], heap_[c])) ++c;
+    if (!before(heap_[c], n)) break;
+    place(i, heap_[c]);
+    i = c;
+  }
+  place(i, n);
+}
+
+LinkId SharedBackoffClock::heap_pop() {
+  const LinkId top = heap_.front();
+  countdowns_[top].pos = kUnarmed;
+  const LinkId last = heap_.back();
   heap_.pop_back();
-  return e;
+  if (!heap_.empty()) {
+    heap_.front() = last;
+    sift(0);
+  }
+  return top;
 }
 
 void SharedBackoffClock::begin_interval(TimePoint now) {
@@ -70,15 +85,25 @@ void SharedBackoffClock::arm(LinkId n, int count) {
   // A per-link engine checks carrier-sense, not our freeze flag: a link
   // arming at the LAST completion of a busy period senses idle (the Medium
   // runs outcome callbacks before the idle notification) and schedules its
-  // expiry event immediately — giving it a sequence number BEFORE the frozen
-  // engines are resumed. `live` records that class for resequence().
-  const bool live = !medium_.sense_busy(phy::Medium::kAllNodes);
-  heap_push(Entry{elapsed_now() + count, next_seq_++, n, busy_epoch_, live, sim_.now()});
+  // expiry event immediately — taking a sequence number BEFORE the frozen
+  // engines are resumed. kAtEdge records that class for rekey().
+  Countdown& c = countdowns_[n];
+  RTMAC_ASSERT(c.pos == kUnarmed, "link armed twice");
+  const bool at_edge = frozen_ && !medium_.sense_busy(phy::Medium::kAllNodes);
+  c.deadline = elapsed_now() + count;
+  c.key = tie_key(at_edge ? kAtEdge : kLate, next_seq_++);
+  c.arm_time = sim_.now();
+  if (!c.queued) {
+    c.queued = true;
+    rekey_.push_back(n);
+  }
+  heap_.push_back(n);
+  sift(heap_.size() - 1);
   if (!frozen_ && !arming_) {
     // Mid-interval arm on an idle medium: keep the single domain event on
     // the earliest deadline. (Unreachable for DCF/FCSMA, which only re-arm
     // from completion callbacks, but cheap to keep correct.)
-    if (heap_.front().seq == next_seq_ - 1) arm_event();
+    if (heap_.front() == n) arm_event();
   }
 }
 
@@ -93,12 +118,15 @@ void SharedBackoffClock::stop() {
   if (in_interval_ && frozen_) account_freezes(sim_.now());
   frozen_ = false;
   in_interval_ = false;
+  for (const LinkId n : heap_) countdowns_[n].pos = kUnarmed;
   heap_.clear();
+  for (const LinkId n : rekey_) countdowns_[n].queued = false;
+  rekey_.clear();
 }
 
 void SharedBackoffClock::arm_event() {
-  const Entry& m = heap_.front();
-  event_wall_ = resume_time_ + static_cast<int>(m.deadline - elapsed_at_resume_) * slot_;
+  const std::int64_t deadline = countdowns_[heap_.front()].deadline;
+  event_wall_ = resume_time_ + static_cast<int>(deadline - elapsed_at_resume_) * slot_;
   // Resuming from a freeze finds the event parked at the far-future sentinel
   // (see on_medium_busy): move it rather than allocate a new one. The fresh
   // FIFO sequence number matches what a cancel + schedule_at would produce.
@@ -110,13 +138,14 @@ void SharedBackoffClock::arm_event() {
 void SharedBackoffClock::fire() {
   expiry_event_ = sim::EventId{};
   RTMAC_ASSERT(!heap_.empty(), "spurious domain expiry");
-  const Entry top = heap_pop();
-  RTMAC_ASSERT(top.deadline ==
+  const LinkId top = heap_pop();
+  const std::int64_t deadline = countdowns_[top].deadline;
+  RTMAC_ASSERT(deadline ==
                    (frozen_ ? elapsed_frozen_
                             : elapsed_at_resume_ +
                                   (sim_.now() - resume_time_).floor_div(slot_)),
                "expiry off the shared clock");
-  if (!heap_.empty() && heap_.front().deadline == top.deadline) {
+  if (!heap_.empty() && countdowns_[heap_.front()].deadline == deadline) {
     // Another countdown is due at this same instant — a collision in the
     // making. Its event must sit IN the simulator queue before the handler
     // runs: per-link engines keep same-instant events pending (their
@@ -130,7 +159,7 @@ void SharedBackoffClock::fire() {
   if (sim::Tracer* tracer = medium_.tracer(); tracer != nullptr) {
     tracer->record(sim_.now(), sim::TraceKind::kBackoffExpired, sim::kNoLink);
   }
-  on_expire_(top.link);
+  on_expire_(top);
   // If the handler started a transmission, our own on_medium_busy froze the
   // clock synchronously (and honours a pending same-instant tie); only an
   // idle clock re-arms toward the next deadline here.
@@ -148,7 +177,6 @@ void SharedBackoffClock::on_medium_busy(TimePoint t) {
   frozen_ = true;
   elapsed_frozen_ = elapsed_at_resume_ + k;
   freeze_time_ = t;
-  ++busy_epoch_;
   // Park the domain event at the far-future sentinel — but ONLY when it is
   // strictly in the future. An event due at this very instant is a countdown
   // that reached zero in the same slot as the transmission now starting; the
@@ -160,15 +188,11 @@ void SharedBackoffClock::on_medium_busy(TimePoint t) {
     // Per-engine emulation in link order (the order per-link engines
     // registered as listeners). Countdowns due at this instant are skipped,
     // exactly as the per-link count_after <= 0 rule skips the freeze.
-    trace_scratch_.clear();
-    for (const Entry& e : heap_) {
-      if (e.deadline > elapsed_frozen_) {
-        trace_scratch_.push_back({e.link, static_cast<int>(e.deadline - elapsed_frozen_)});
+    for (const Countdown& c : countdowns_) {
+      if (c.pos != kUnarmed && c.deadline > elapsed_frozen_) {
+        tracer->record(t, sim::TraceKind::kBackoffFrozen, sim::kNoLink,
+                       c.deadline - elapsed_frozen_);
       }
-    }
-    std::sort(trace_scratch_.begin(), trace_scratch_.end());
-    for (const auto& [link, remaining] : trace_scratch_) {
-      tracer->record(t, sim::TraceKind::kBackoffFrozen, sim::kNoLink, remaining);
     }
   }
 }
@@ -180,41 +204,44 @@ void SharedBackoffClock::on_medium_idle(TimePoint t) {
   if (sim::Tracer* tracer = medium_.tracer(); tracer != nullptr) {
     // Every frozen countdown resumes, in link order; a link that armed live
     // at this instant (the last completion's outcome callback) never froze.
-    trace_scratch_.clear();
-    for (const Entry& e : heap_) {
-      if (e.live && e.arm_epoch == busy_epoch_) continue;
-      trace_scratch_.push_back({e.link, static_cast<int>(e.deadline - elapsed_frozen_)});
-    }
-    std::sort(trace_scratch_.begin(), trace_scratch_.end());
-    for (const auto& [link, remaining] : trace_scratch_) {
-      tracer->record(t, sim::TraceKind::kBackoffResumed, sim::kNoLink, remaining);
+    for (const Countdown& c : countdowns_) {
+      if (c.pos != kUnarmed && tie_class(c) != kAtEdge) {
+        tracer->record(t, sim::TraceKind::kBackoffResumed, sim::kNoLink,
+                       c.deadline - elapsed_frozen_);
+      }
     }
   }
-  resequence();
+  rekey();
   elapsed_at_resume_ = elapsed_frozen_;
   resume_time_ = t;
   if (!heap_.empty()) arm_event();
 }
 
-void SharedBackoffClock::resequence() {
-  // Replay per-link engines' event-queue sequence numbers at a resume:
-  // links that armed live at this instant already hold their events (issued
-  // in the outcome callbacks, in arm order), then the idle sweep reschedules
-  // every frozen engine in listener = link order. Ties between expiries are
-  // result-affecting — complete domains draw channel losses from one shared
-  // stream in completion order — so this order is exact, not cosmetic.
-  const std::uint64_t ep = busy_epoch_;
-  std::sort(heap_.begin(), heap_.end(), [ep](const Entry& a, const Entry& b) {
-    if (a.deadline != b.deadline) return a.deadline < b.deadline;
-    const bool la = a.live && a.arm_epoch == ep;
-    const bool lb = b.live && b.arm_epoch == ep;
-    if (la != lb) return la;
-    if (la) return a.seq < b.seq;
-    return a.link < b.link;
-  });
-  // An array sorted by (deadline, seq) is a valid min-heap; assigning fresh
-  // ascending seqs in sorted order preserves exactly that.
-  for (Entry& e : heap_) e.seq = next_seq_++;
+void SharedBackoffClock::rekey() {
+  // Per-link engines' sequence numbers at a resume: links that armed live at
+  // this instant already hold their events (issued in the outcome callbacks,
+  // in arm order), then the idle sweep reschedules every frozen engine in
+  // listener = link order. Ties between expiries are result-affecting —
+  // complete domains draw channel losses from one shared stream in
+  // completion order — so this order is exact, not cosmetic. Countdowns
+  // keyed kByLink keep their key; every other armed one is listed here.
+  std::size_t kept = 0;
+  for (const LinkId n : rekey_) {
+    Countdown& c = countdowns_[n];
+    if (c.pos == kUnarmed) {
+      c.queued = false;
+      continue;
+    }
+    if (tie_class(c) == kAtEdge) {
+      c.key = tie_key(kLive, c.key & kOrderMask);
+      rekey_[kept++] = n;  // joins the by-link group at the next resume
+    } else {
+      c.key = tie_key(kByLink, n);
+      c.queued = false;
+    }
+    sift(c.pos);
+  }
+  rekey_.resize(kept);
 }
 
 void SharedBackoffClock::account_freezes(TimePoint resume_at) {
@@ -232,12 +259,14 @@ void SharedBackoffClock::account_freezes(TimePoint resume_at) {
     }
   }
   if (freeze_hist_ == nullptr) return;
-  for (const Entry& e : heap_) {
-    if (e.live && e.arm_epoch == busy_epoch_) continue;  // armed idle; never froze
+  // Link order: the per-link engines' listener order, so the histogram's
+  // floating-point sum adds in the same order.
+  for (const Countdown& c : countdowns_) {
+    if (c.pos == kUnarmed || tie_class(c) == kAtEdge) continue;  // armed idle; never froze
     // A countdown armed DURING the busy period (a non-final completion's
     // outcome callback) has been frozen since its arm instant, not since the
     // busy edge; a per-link engine accounts the same span.
-    const TimePoint since = e.arm_time > freeze_time_ ? e.arm_time : freeze_time_;
+    const TimePoint since = c.arm_time > freeze_time_ ? c.arm_time : freeze_time_;
     const Duration frozen_for = resume_at - since;
     freeze_hist_->observe(frozen_for.us_f());
     freeze_ns_->inc(static_cast<std::uint64_t>(frozen_for.ns()));

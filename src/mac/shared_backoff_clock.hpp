@@ -16,16 +16,22 @@
 //     partial-slot discard never discards anything, and one elapsed-idle-slot
 //     counter E serves every link: a countdown of c slots armed at elapsed
 //     count e expires when E reaches the DEADLINE e + c.
-//   * Armed countdowns live in one min-heap of (deadline, seq) entries and
-//     the whole domain holds ONE pending simulator event (the earliest
-//     deadline). A busy edge parks that event (one reschedule) instead of
-//     visiting N listeners; an idle edge re-arms it (one reschedule).
+//   * Armed countdowns live in one indexed min-heap of links keyed by
+//     (deadline, tie key), and the whole domain holds ONE pending simulator
+//     event (the earliest deadline). A busy edge parks that event (one
+//     reschedule) instead of visiting N listeners; an idle edge re-arms it
+//     (one reschedule).
 //   * Tie order is result-affecting (complete domains draw channel losses
-//     from one shared stream in completion order), so `seq` replays the
-//     per-link engines' event-queue sequence numbers exactly: a link arming
-//     while the medium is idle gets a fresh seq immediately, and every idle
-//     edge re-issues seqs to the frozen countdowns in link order — the order
-//     per-link engines registered as listeners and were resumed in.
+//     from one shared stream in completion order), so equal deadlines fire
+//     in the order per-link engines' event-queue sequence numbers give
+//     them: a resume puts the links that armed live at the last completion
+//     first, in arm order (their engines scheduled in the outcome
+//     callbacks), then every frozen countdown in link order (the listener
+//     order the idle sweep resumes engines in); a countdown armed after
+//     that resume goes last, in arm order. The tie key encodes that class
+//     and order. At a resume only two groups change class — the arms since
+//     the previous resume and that resume's live arms — so only they are
+//     re-keyed: O(k log N) per idle edge for k such countdowns, not a sort.
 //   * Countdowns due exactly at a busy edge must still fire (the per-link
 //     engines' count_after <= 0 rule: both stations counted down to zero in
 //     the same slot and will collide), so fire() keeps a same-instant tie
@@ -42,7 +48,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/types.hpp"
@@ -70,11 +75,11 @@ class SharedBackoffClock final : public phy::MediumListener {
   /// finish_arming() closes it.
   void begin_interval(TimePoint now);
 
-  /// Starts a countdown of `count` slots for link n (one per-link
-  /// BackoffEngine::start). Legal at the current resume instant or while the
-  /// medium is busy — the only places the CSMA schemes arm. Does not touch
-  /// the simulator event until finish_arming() (inside begin_interval's arm
-  /// loop) or immediately (mid-interval re-arms).
+  /// Starts a countdown of `count` slots for link n, which must not be
+  /// armed (one per-link BackoffEngine::start). Legal at the current resume
+  /// instant or while the medium is busy — the only places the CSMA schemes
+  /// arm. Does not touch the simulator event until finish_arming() (inside
+  /// begin_interval's arm loop) or immediately (mid-interval re-arms).
   void arm(LinkId n, int count);
 
   /// Schedules the domain expiry event after begin_interval's arm loop.
@@ -85,10 +90,11 @@ class SharedBackoffClock final : public phy::MediumListener {
   /// way).
   void stop();
 
-  /// Bytes of long-lived storage (the armed heap), for mem gauges.
+  /// Bytes of long-lived storage (per-link state, heap and re-key list),
+  /// for mem gauges.
   [[nodiscard]] std::size_t memory_bytes() const {
-    return heap_.capacity() * sizeof(Entry) +
-           trace_scratch_.capacity() * sizeof(trace_scratch_[0]);
+    return countdowns_.capacity() * sizeof(Countdown) +
+           (heap_.capacity() + rekey_.capacity()) * sizeof(LinkId);
   }
 
   // phy::MediumListener:
@@ -96,40 +102,59 @@ class SharedBackoffClock final : public phy::MediumListener {
   void on_medium_idle(TimePoint t) override;
 
  private:
-  /// One armed countdown. `deadline` is on the shared elapsed-slot axis;
-  /// `seq` replays a per-link engine's event-queue sequence number;
-  /// `arm_epoch`/`live`/`arm_time` classify the entry at the next idle edge
-  /// (armed since the busy edge began / armed while the medium sensed idle /
-  /// when — frozen arms account their freeze from the arm instant).
-  struct Entry {
-    std::int64_t deadline;
-    std::uint64_t seq;
-    LinkId link;
-    std::uint64_t arm_epoch;
-    bool live;
-    TimePoint arm_time;
+  /// Tie classes, in firing order among equal deadlines: the top two bits
+  /// of a tie key. The low bits order a class — the arm sequence, or the
+  /// link id for kByLink.
+  enum TieClass : std::uint64_t {
+    kLive = 0,    ///< armed live at the completion that ended the last freeze
+    kByLink = 1,  ///< resumed from a freeze, or armed before the last resume
+    kLate = 2,    ///< armed since the last resume, not live at a completion
+    kAtEdge = 3,  ///< armed live at the completion ending the current freeze
+  };
+  static constexpr int kClassShift = 62;
+  static constexpr std::uint64_t kOrderMask = (std::uint64_t{1} << kClassShift) - 1;
+  static constexpr std::uint32_t kUnarmed = ~std::uint32_t{0};
+
+  /// One link's countdown, armed while `pos` != kUnarmed.
+  struct Countdown {
+    std::int64_t deadline = 0;     ///< on the shared elapsed-slot axis
+    std::uint64_t key = 0;         ///< (TieClass << kClassShift) | order
+    TimePoint arm_time;            ///< frozen arms account their freeze from here
+    std::uint32_t pos = kUnarmed;  ///< index in heap_
+    bool queued = false;           ///< listed in rekey_
   };
 
+  [[nodiscard]] static std::uint64_t tie_key(TieClass c, std::uint64_t order) {
+    return (std::uint64_t{c} << kClassShift) | order;
+  }
+  [[nodiscard]] static TieClass tie_class(const Countdown& c) {
+    return static_cast<TieClass>(c.key >> kClassShift);
+  }
+  [[nodiscard]] bool before(LinkId a, LinkId b) const {
+    const Countdown& x = countdowns_[a];
+    const Countdown& y = countdowns_[b];
+    return x.deadline != y.deadline ? x.deadline < y.deadline : x.key < y.key;
+  }
   [[nodiscard]] std::int64_t elapsed_now() const {
     return frozen_ ? elapsed_frozen_ : elapsed_at_resume_;
   }
-  void heap_push(Entry e);
-  Entry heap_pop();
+  void place(std::size_t i, LinkId n);
+  void sift(std::size_t i);
+  LinkId heap_pop();
   void arm_event();
   void fire();
-  void resequence();
+  void rekey();
   void account_freezes(TimePoint resume_at);
 
   sim::Simulator& sim_;
   phy::Medium& medium_;
   Duration slot_;
-  std::size_t num_links_;
   ExpiryHandler on_expire_;
 
-  std::vector<Entry> heap_;  ///< min-heap by (deadline, seq)
-  std::vector<std::pair<LinkId, int>> trace_scratch_;  ///< link-order tracer walk
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t busy_epoch_ = 0;  ///< bumped at every busy edge
+  std::vector<Countdown> countdowns_;  ///< per link
+  std::vector<LinkId> heap_;           ///< armed links, min-heap by before()
+  std::vector<LinkId> rekey_;          ///< links whose tie class the next resume changes
+  std::uint64_t next_seq_ = 0;         ///< arm sequence
 
   bool arming_ = false;  ///< inside begin_interval's arm loop
   bool in_interval_ = false;

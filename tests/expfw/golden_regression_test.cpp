@@ -59,8 +59,10 @@ std::string smoke_csv(const std::vector<SchemeSpec>& schemes, const ConfigAt& co
                       const SweepOptions& opts = {}) {
   const auto results =
       run_sweeps(schemes, config_at, grid, /*intervals=*/25, metric, std::move(metric_names), opts);
-  const std::string path =
-      testing::TempDir() + "golden_regression_" + x_name + ".csv";
+  // ctest runs every case as its own process, concurrently under -j: the
+  // scratch file is named after the running test so no two cases share it.
+  const std::string test = testing::UnitTest::GetInstance()->current_test_info()->name();
+  const std::string path = testing::TempDir() + "golden_regression_" + test + "_" + x_name + ".csv";
   EXPECT_TRUE(write_sweep_csv(path, x_name, results));
   const std::string contents = read_file(path);
   std::remove(path.c_str());
