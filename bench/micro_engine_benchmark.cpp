@@ -310,10 +310,7 @@ mac::SchemeFactory sharded_factory(bool chain) {
 
 // Wall time per interval (the work runs on four threads, hence real time),
 // plus two informational counters: coordinator rounds per interval and
-// heap allocations per interval. The chain's allocations are high-water
-// growth outside the dispatch (the coordinator's fresh-record list, the
-// cut mailboxes, each Medium's cut outbox and each BackoffEngine's freeze
-// log), so only the city is gated below.
+// heap allocations per interval. Both shapes are gated at zero below.
 void BM_ShardedInterval(benchmark::State& state, bool chain) {
   net::NetworkConfig cfg = sharded_config(chain);
   const auto links = static_cast<std::int64_t>(cfg.num_links());
@@ -333,12 +330,15 @@ void BM_ShardedInterval(benchmark::State& state, bool chain) {
 BENCHMARK_CAPTURE(BM_ShardedInterval, city, false)->UseRealTime();
 BENCHMARK_CAPTURE(BM_ShardedInterval, chain, true)->UseRealTime();
 
-// Zero-alloc gate for the chunked dispatch: a steady-state interval of the
-// city, its chunks run through parallel_for, must not touch the heap.
-void BM_ShardedIntervalAllocs(benchmark::State& state) {
-  interval_allocs(state, sharded_config(false), sharded_factory(false));
+// Zero-alloc gate for the chunked dispatch: a steady-state interval must not
+// touch the heap, neither the city's (chunks run through parallel_for) nor
+// the chain's (interval edges and coordinator rounds in chunks, plus the
+// cut outboxes, the cut mailbox and the per-link backoff engines).
+void BM_ShardedIntervalAllocs(benchmark::State& state, bool chain) {
+  interval_allocs(state, sharded_config(chain), sharded_factory(chain));
 }
-BENCHMARK(BM_ShardedIntervalAllocs);
+BENCHMARK_CAPTURE(BM_ShardedIntervalAllocs, city, false);
+BENCHMARK_CAPTURE(BM_ShardedIntervalAllocs, chain, true);
 
 // ---- Medium transmission lifecycle -------------------------------------------
 // One transmission start and completion on an idle Medium, in the listener

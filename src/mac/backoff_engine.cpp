@@ -133,6 +133,9 @@ void BackoffEngine::on_medium_busy(TimePoint t) {
   count_ = count_after;
   frozen_ = true;
   frozen_since_ = t;
+  // Steady state allocation-free: the first freeze reserves past the usual
+  // depth (a countdown rarely freezes 16 times).
+  if (freeze_values_.capacity() == 0) freeze_values_.reserve(16);
   freeze_values_.push_back(count_);
   trace(sim::TraceKind::kBackoffFrozen, count_);
 }

@@ -25,14 +25,15 @@ class Network::CutState final : public phy::CutResolver {
  public:
   static constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
 
-  void build(const sim::ShardPlan& plan) {
+  void build(const sim::ShardPlan& plan, Duration interval_length) {
+    interval_length_ = interval_length;
     edges_ = plan.cut_conflicts;
     slot_of_.assign(plan.num_links(), kNoSlot);
     auto slot = [this](LinkId g) {
       if (slot_of_[g] == kNoSlot) {
         slot_of_[g] = static_cast<std::uint32_t>(partners_.size());
         partners_.emplace_back();
-        records_.emplace_back();
+        head_.push_back(kNoSlot);
       }
       return slot_of_[g];
     };
@@ -44,21 +45,29 @@ class Network::CutState final : public phy::CutResolver {
       partners_[sb].push_back(PairRef{e.a, i});
     }
     pair_counts_.assign(edges_.size(), 0);
+    // Steady state allocation-free: an interval averages < 2 per cut link.
+    records_.reserve(4 * head_.size());
   }
 
   /// Barrier phase (serial): remember one exported cut transmission.
   /// Records of sense-only speakers (no cut conflict edge) are not needed
   /// for resolution and are dropped here.
   void add_record(const sim::CutTxRecord& r) RTMAC_REQUIRES(sim::shard_barrier) {
+    RTMAC_ASSERT(interval_start_ <= r.start && r.start < interval_start_ + interval_length_,
+                 "a cut record from outside the current interval");
     const std::uint32_t slot = slot_of_[r.link];
-    if (slot != kNoSlot) records_[slot].push_back(r);
+    if (slot == kNoSlot) return;
+    records_.push_back(Record{r.start, r.end, head_[slot]});
+    head_[slot] = static_cast<std::uint32_t>(records_.size() - 1);
   }
 
   /// Interval boundary (serial): the gap rule guarantees no transmission
   /// crosses it, so all records are dead. Serial like the barrier phase, so
   /// it borrows the same phantom capability.
   void clear_records() RTMAC_REQUIRES(sim::shard_barrier) {
-    for (auto& v : records_) v.clear();
+    records_.clear();
+    std::ranges::fill(head_, kNoSlot);
+    interval_start_ += interval_length_;
   }
 
   // phy::CutResolver. Called by a cell's Medium when a cut-link completion
@@ -69,7 +78,8 @@ class Network::CutState final : public phy::CutResolver {
     RTMAC_ASSERT(slot != kNoSlot, "cut resolution for a non-cut link");
     bool collided = false;
     for (const PairRef& pr : partners_[slot]) {
-      for (const sim::CutTxRecord& r : records_[slot_of_[pr.partner]]) {
+      for (std::uint32_t i = head_[slot_of_[pr.partner]]; i != kNoSlot; i = records_[i].next) {
+        const Record& r = records_[i];
         if (r.start < end && start < r.end) {
           collided = true;
           // Each overlapping transmission pair is counted exactly once: by
@@ -107,12 +117,21 @@ class Network::CutState final : public phy::CutResolver {
     LinkId partner;         ///< the other endpoint (global id)
     std::size_t pair_idx;   ///< index into edges_ / pair_counts_
   };
+  /// One recorded transmission, chained to its slot's previous record.
+  struct Record {
+    TimePoint start;
+    TimePoint end;
+    std::uint32_t next;  ///< index into records_, or kNoSlot
+  };
 
   std::vector<sim::CutEdge> edges_;                   ///< sorted cut conflicts
   std::vector<std::uint32_t> slot_of_;                ///< global link -> slot
   std::vector<std::vector<PairRef>> partners_;        ///< per slot
-  std::vector<std::vector<sim::CutTxRecord>> records_;  ///< per slot, in drain order
+  std::vector<std::uint32_t> head_;                   ///< per slot: its latest record
+  std::vector<Record> records_;                       ///< this interval's, all slots
   std::vector<std::uint64_t> pair_counts_;            ///< per cut edge; one writer each
+  Duration interval_length_;
+  TimePoint interval_start_;  ///< of the interval whose records are held
 };
 
 // ---- Cell -------------------------------------------------------------------
@@ -122,7 +141,6 @@ class Network::CutState final : public phy::CutResolver {
 /// load-bearing: the scheme holds references to success_prob and debts.
 struct Network::Cell final : public sim::ShardCell {
   Network& net;
-  std::uint32_t index;
   std::vector<LinkId> links;       ///< global ids, ascending
   ProbabilityVector success_prob;  ///< sliced by global id
   core::DebtTracker debts;         ///< sliced; mirrors the global ledger
@@ -132,12 +150,9 @@ struct Network::Cell final : public sim::ShardCell {
   std::unique_ptr<obs::MetricsRegistry> registry;  ///< private per-cell instruments
   std::vector<int> arrivals;
   std::vector<int> delivered;
-  std::vector<phy::CutTxExport> outbox_scratch;
 
-  Cell(Network& n, std::uint32_t idx, std::vector<LinkId> ls, RateVector q_slice,
-       ProbabilityVector p_slice)
+  Cell(Network& n, std::vector<LinkId> ls, RateVector q_slice, ProbabilityVector p_slice)
       : net{n},
-        index{idx},
         links{std::move(ls)},
         success_prob{std::move(p_slice)},
         debts{std::move(q_slice)},
@@ -149,13 +164,17 @@ struct Network::Cell final : public sim::ShardCell {
   // here — without them the bodies could not call the Medium's
   // barrier-phase-only entry points.
   [[nodiscard]] TimePoint clock() const override { return sim.now(); }
-  void drain_outbox(std::vector<sim::CutTxRecord>& into) override
-      RTMAC_REQUIRES(sim::shard_barrier);
+  [[nodiscard]] std::span<const sim::CutTxRecord> drain_outbox() override
+      RTMAC_REQUIRES(sim::shard_barrier) {
+    for (const sim::CutTxRecord& r : medium->cut_outbox()) net.cut_->add_record(r);
+    return medium->cut_outbox();
+  }
   void deliver_remote(const sim::CutTxRecord& record) override
       RTMAC_REQUIRES(sim::shard_barrier) {
     medium->inject_remote_activity(record.link, record.start, record.end);
   }
   void begin_window(TimePoint bound) override RTMAC_REQUIRES(sim::shard_barrier) {
+    medium->clear_cut_outbox();
     medium->set_resolution_horizon(bound);
   }
   /// Adaptive-lookahead probe: nothing observable happens in this cell
@@ -168,18 +187,24 @@ struct Network::Cell final : public sim::ShardCell {
   void run_window(TimePoint horizon) override RTMAC_EXCLUDES(sim::shard_barrier) {
     sim.run_until(horizon);
   }
-};
 
-void Network::Cell::drain_outbox(std::vector<sim::CutTxRecord>& into)
-    RTMAC_REQUIRES(sim::shard_barrier) {
-  outbox_scratch.clear();
-  medium->drain_cut_outbox(outbox_scratch);
-  for (const phy::CutTxExport& e : outbox_scratch) {
-    const sim::CutTxRecord r{e.link, index, e.start, e.end};
-    net.cut_->add_record(r);
-    into.push_back(r);
+  /// Interval start: copies this cell's arrivals out of the global buffer,
+  /// anchors the delivery-latency series and begins the scheme's interval.
+  void begin_interval(IntervalIndex k, TimePoint start, TimePoint end) {
+    for (std::size_t j = 0; j < links.size(); ++j) arrivals[j] = net.arrivals_[links[j]];
+    RTMAC_ASSERT(sim.now() == start, "interval boundaries drifted");
+    medium->note_interval_start(start);
+    scheme->begin_interval(k, arrivals, end);
   }
-}
+  /// Interval end: settles the scheme and the debt slice, then copies the
+  /// deliveries into the global buffer (slots of this cell's links only).
+  void end_interval() {
+    RTMAC_ASSERT(!medium->busy(), "a transmission overran the interval boundary (gap rule)");
+    scheme->end_interval(delivered);
+    debts.on_interval_end(delivered);
+    for (std::size_t j = 0; j < links.size(); ++j) net.delivered_[links[j]] = delivered[j];
+  }
+};
 
 // ---- construction -----------------------------------------------------------
 
@@ -264,7 +289,7 @@ void Network::build_cells(const mac::SchemeFactory& scheme_factory) {
   const bool has_cuts = !plan_.cut_conflicts.empty() || !plan_.cut_senses.empty();
   if (has_cuts) {
     cut_ = std::make_unique<CutState>();
-    cut_->build(plan_);
+    cut_->build(plan_, config_.interval_length);
   }
   // Per-link cut roles, empty when nothing is cut: kCutConflict marks an
   // endpoint of a cut conflict edge, kCutSpeaker a link heard across a cut.
@@ -296,8 +321,7 @@ void Network::build_cells(const mac::SchemeFactory& scheme_factory) {
       q_slice.push_back(q[g]);
       p_slice.push_back(config_.success_prob[g]);
     }
-    auto cell = std::make_unique<Cell>(*this, static_cast<std::uint32_t>(ci), links,
-                                       std::move(q_slice), std::move(p_slice));
+    auto cell = std::make_unique<Cell>(*this, links, std::move(q_slice), std::move(p_slice));
 
     // A cut-free cell (no cut conflicts, no exported speakers, no remote
     // listeners) interacts with nothing outside itself, so its subgraph may
@@ -517,60 +541,37 @@ void Network::run(IntervalIndex intervals) {
 }
 
 void Network::run_cells(IntervalIndex k, TimePoint start, TimePoint end) {
-  for (auto& cell : cells_) {
-    for (std::size_t j = 0; j < cell->links.size(); ++j) {
-      cell->arrivals[j] = arrivals_[cell->links[j]];
-    }
-  }
-
-  if (coordinator_ != nullptr) {
-    // Cut path: serial interval-edge work, windowed parallel advancement.
-    for (auto& cell : cells_) {
-      RTMAC_ASSERT(cell->sim.now() == start, "interval boundaries drifted");
-      cell->medium->note_interval_start(start);
-      cell->scheme->begin_interval(k, cell->arrivals, end);
-    }
-    coordinator_->advance_to(end);
-    for (auto& cell : cells_) {
-      RTMAC_ASSERT(!cell->medium->busy(),
-                   "a transmission overran the interval boundary (gap rule)");
-      cell->scheme->end_interval(cell->delivered);
-      cell->debts.on_interval_end(cell->delivered);
-    }
-    {
-      // Interval boundary is serial — same discipline as the window barrier.
-      const util::PhantomLock barrier{sim::shard_barrier};
-      cut_->clear_records();
-    }
-  } else {
-    // Cut-free path: cells are fully independent, so the whole interval
-    // (begin / run / end / debts) folds into one loop per chunk.
+  // Every per-cell step runs in chunks: a cell's interval edges touch only
+  // its own engine stack and its own slots of arrivals_ and delivered_.
+  const auto in_chunks = [this](const auto& step) {
     const auto run_chunk = [&](std::size_t w) {
-      for (const std::uint32_t ci : chunks_[w]) {
-        Cell& cell = *cells_[ci];
-        RTMAC_ASSERT(cell.sim.now() == start, "interval boundaries drifted");
-        // Anchors the delivery-latency series.
-        cell.medium->note_interval_start(start);
-        cell.scheme->begin_interval(k, cell.arrivals, end);
-        cell.sim.run_until(end);
-        RTMAC_ASSERT(!cell.medium->busy(),
-                     "a transmission overran the interval boundary (gap rule)");
-        cell.scheme->end_interval(cell.delivered);
-        cell.debts.on_interval_end(cell.delivered);
-      }
+      for (const std::uint32_t ci : chunks_[w]) step(*cells_[ci]);
     };
     if (pool_ != nullptr) {
       pool_->parallel_for(chunks_.size(), run_chunk);
     } else {
       run_chunk(0);
     }
+  };
+  if (coordinator_ == nullptr) {
+    // Cut-free path: cells are independent, so an interval is one fork-join.
+    in_chunks([&](Cell& cell) {
+      cell.begin_interval(k, start, end);
+      cell.sim.run_until(end);
+      cell.end_interval();
+    });
+    return;
   }
-
-  for (auto& cell : cells_) {
-    for (std::size_t j = 0; j < cell->links.size(); ++j) {
-      delivered_[cell->links[j]] = cell->delivered[j];
-    }
-  }
+  // Cut path: three fork-joins, the coordinator's windows between the edges.
+  in_chunks([&](Cell& cell) { cell.begin_interval(k, start, end); });
+  coordinator_->advance_to(end);
+  in_chunks([](Cell& cell) { cell.end_interval(); });
+  // The boundary is serial, like a window barrier. The gap rule ends every
+  // cut transmission by `end`, so the mailbox records and the last window's
+  // undrained exports are dead.
+  const util::PhantomLock barrier{sim::shard_barrier};
+  cut_->clear_records();
+  for (auto& cell : cells_) cell->medium->clear_cut_outbox();
 }
 
 void Network::finish_interval(IntervalIndex k, TimePoint end) {

@@ -61,7 +61,8 @@ std::size_t Medium::memory_bytes() const {
   return link_counters_.size_bytes() + views_.size_bytes() + marks_.size_bytes() +
          marked_.size_bytes() + pair_count_.size_bytes() + graph_.memory_bytes() +
          loss_rngs_.capacity() * sizeof(Rng) + active_.capacity() * sizeof(ActiveTx) +
-         listeners_.capacity() * sizeof(ListenerEntry) + outbox_.capacity() * sizeof(CutTxExport) +
+         listeners_.capacity() * sizeof(ListenerEntry) +
+         outbox_.capacity() * sizeof(sim::CutTxRecord) +
          shard_.global_ids.capacity() * sizeof(LinkId) + shard_.conflict_cut.capacity() +
          shard_.exported.capacity();
 }
@@ -92,6 +93,9 @@ void Medium::configure_shard(ShardMediumConfig config) {
     loss_rngs_.emplace_back(seed_, loss_stream_id(shard_.global_ids[link]));
   }
   resolution_horizon_ = sim::Simulator::no_run_limit();
+  // Steady state allocation-free: a window rarely exports 4 txs per link.
+  outbox_.reserve(8 * static_cast<std::size_t>(std::ranges::count_if(
+                          shard_.exported, [](std::uint8_t e) { return e != 0; })));
 }
 
 void Medium::register_remote_sense(LinkId speaker, std::vector<LinkId> nodes) {
@@ -116,11 +120,6 @@ void Medium::set_resolution_horizon(TimePoint bound) {
     if (end > bound && end < limit) limit = end;
   }
   sim_.set_run_limit(limit);
-}
-
-void Medium::drain_cut_outbox(std::vector<CutTxExport>& into) {
-  into.insert(into.end(), outbox_.begin(), outbox_.end());
-  outbox_.clear();
 }
 
 void Medium::inject_remote_activity(LinkId speaker, TimePoint start, TimePoint end) {
@@ -292,7 +291,7 @@ void Medium::start_transmission(LinkId link, Duration airtime, PacketKind kind, 
   if (shard_mode_) {
     const TimePoint end = now + airtime;
     if (shard_.exported[link] != 0) {
-      outbox_.push_back(CutTxExport{shard_.global_ids[link], now, end});
+      outbox_.push_back(sim::CutTxRecord{shard_.global_ids[link], now, end});
     }
     // A new cut-conflict transmission ending beyond the resolution bound
     // must not complete this window; tighten the run limit if it is now

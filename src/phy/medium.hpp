@@ -71,16 +71,6 @@ class MediumListener {
   virtual void on_medium_idle(TimePoint t) = 0;
 };
 
-/// One exported cut-link transmission occupying [start, end), reported in
-/// the link's GLOBAL id. Shard cells hand these to the coordinator at
-/// window barriers; the coordinator feeds them back into neighbor cells as
-/// remote sense activity and into the cross-shard collision ledger.
-struct CutTxExport {
-  LinkId link = 0;
-  TimePoint start;
-  TimePoint end;
-};
-
 /// Resolver for cross-shard conflicts, implemented by the sharded Network.
 /// The conservative coordinator guarantees that when a cut-link completion
 /// executes, every conflicting neighbor cell's clock has passed it, so all
@@ -297,9 +287,12 @@ class Medium {
   /// coordinator at every window barrier.
   void set_resolution_horizon(TimePoint bound) RTMAC_REQUIRES(sim::shard_barrier);
 
-  /// Appends and clears the exported cut transmissions (start-time order).
-  void drain_cut_outbox(std::vector<CutTxExport>& into)
-      RTMAC_REQUIRES(sim::shard_barrier);
+  /// The cut transmissions exported since the last clear (start-time order).
+  [[nodiscard]] std::span<const sim::CutTxRecord> cut_outbox() const
+      RTMAC_REQUIRES(sim::shard_barrier) {
+    return outbox_;
+  }
+  void clear_cut_outbox() RTMAC_REQUIRES(sim::shard_barrier) { outbox_.clear(); }
 
   /// Schedules a phantom busy period [start, end) on the views of the local
   /// nodes registered for `speaker`. Stale parts before now() are clipped;
@@ -487,7 +480,7 @@ class Medium {
   bool shard_mode_ = false;
   ShardMediumConfig shard_;
   TimePoint resolution_horizon_;
-  std::vector<CutTxExport> outbox_;
+  std::vector<sim::CutTxRecord> outbox_;
   /// speaker global id -> local nodes whose views it drives.
   std::unordered_map<LinkId, std::vector<LinkId>> remote_sense_;
 };

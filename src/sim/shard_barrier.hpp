@@ -18,10 +18,22 @@
 // parallel phase (or any unannotated context) is a compile error in the
 // clang CI lanes. Zero runtime cost everywhere.
 
+#include "core/types.hpp"
 #include "util/thread_annotations.hpp"
+#include "util/time.hpp"
 
 namespace rtmac::sim {
 
 inline constinit util::PhantomCapability shard_barrier{};
+
+/// One cut-link transmission occupying [start, end), in the link's GLOBAL id.
+/// A cell's Medium exports it when it starts; the barrier hands it to the
+/// cut-neighbor cells (remote sense activity) and to the cross-cell
+/// collision ledger.
+struct CutTxRecord {
+  LinkId link = 0;
+  TimePoint start;
+  TimePoint end;
+};
 
 }  // namespace rtmac::sim

@@ -40,16 +40,14 @@ void ShardCoordinator::advance_to(TimePoint horizon) {
       }
       if (done) break;
 
-      // Drain outboxes in canonical cell order, then deliver each fresh
+      // Drain outboxes in canonical cell order, delivering each fresh
       // record to the cut neighbors of its cell, ascending. Only they can
       // listen to it: a cell hearing a cut speaker shares a cut sense with
       // the speaker's cell, so every other cell would ignore the record.
       // Serial + ordered == deterministic mailbox contents.
-      fresh_.clear();
-      for (auto* cell : cells_) cell->drain_outbox(fresh_);
-      for (const CutTxRecord& record : fresh_) {
-        for (const std::uint32_t c : cut_neighbors_[record.cell]) {
-          cells_[c]->deliver_remote(record);
+      for (std::size_t s = 0; s < cells_.size(); ++s) {
+        for (const CutTxRecord& record : cells_[s]->drain_outbox()) {
+          for (const std::uint32_t c : cut_neighbors_[s]) cells_[c]->deliver_remote(record);
         }
       }
       // Activity bounds are probed AFTER the deliveries above: injections

@@ -44,6 +44,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/types.hpp"
@@ -52,14 +53,6 @@
 #include "util/time.hpp"
 
 namespace rtmac::sim {
-
-/// One cut-link transmission exported at a window barrier.
-struct CutTxRecord {
-  LinkId link = 0;          ///< global link id
-  std::uint32_t cell = 0;   ///< originating cell
-  TimePoint start;
-  TimePoint end;
-};
 
 /// A shard cell as the coordinator sees it. Implemented by net::Network's
 /// per-cell glue; the coordinator never touches a Medium or EventQueue
@@ -76,9 +69,10 @@ class ShardCell {
   /// The cell's engine clock. Safe in either phase (each cell is advanced by
   /// exactly one thread, and the coordinator reads it only at barriers).
   [[nodiscard]] virtual TimePoint clock() const = 0;
-  /// Barrier phase: appends cut-link transmissions recorded since the last
-  /// drain (in start-time order) and forgets them locally.
-  virtual void drain_outbox(std::vector<CutTxRecord>& into)
+  /// Barrier phase: the cut-link transmissions started since the last
+  /// window (in start-time order). They stay readable until begin_window(),
+  /// which forgets them.
+  [[nodiscard]] virtual std::span<const CutTxRecord> drain_outbox()
       RTMAC_REQUIRES(shard_barrier) = 0;
   /// Barrier phase: offers a fresh remote record from a cut-neighbor cell;
   /// the cell injects it into its sense views if any of its links listens
@@ -95,7 +89,8 @@ class ShardCell {
   [[nodiscard]] virtual TimePoint next_activity_bound() RTMAC_REQUIRES(shard_barrier) {
     return clock();
   }
-  /// Barrier phase: arms the next window with resolution bound `bound`.
+  /// Barrier phase: forgets the drained outbox and arms the next window
+  /// with resolution bound `bound`.
   virtual void begin_window(TimePoint bound) RTMAC_REQUIRES(shard_barrier) = 0;
   /// Parallel phase: runs the engine toward `horizon` (stopping early at
   /// the armed run limit).
@@ -134,7 +129,6 @@ class ShardCoordinator {
   std::uint64_t rounds_ = 0;
   // Barrier scratch: touched only inside the coordinator's PhantomLock'd
   // serial sections, never by parallel-phase tasks.
-  std::vector<CutTxRecord> fresh_ RTMAC_GUARDED_BY(shard_barrier);
   std::vector<TimePoint> clock_snapshot_ RTMAC_GUARDED_BY(shard_barrier);
   std::vector<TimePoint> bound_snapshot_ RTMAC_GUARDED_BY(shard_barrier);
 };

@@ -241,14 +241,31 @@ TEST(ShardedNetworkTest, SparseTopologyResultsAreIndependentOfEngineShape) {
   }
 }
 
+/// Collisions counted on the chain's cut edges (cell_size 8): the
+/// cross-cell part of the collision ledger.
+std::uint64_t chain_cut_collisions(const RunRecord& rec, std::size_t cells) {
+  const std::size_t n = cells * 8;
+  std::uint64_t total = 0;
+  for (std::size_t c = 0; c + 1 < cells; ++c) total += rec.pair_counts[(c * 8 + 7) * n + c * 8 + 8];
+  return total;
+}
+
 TEST(ShardedNetworkTest, ChunkedDispatchIsIndependentOfShardJobs) {
   // One group per cell, cut into 1, 3, 4 and 5 chunks (shard_jobs 1 runs
   // serially; N >= 2 adds N workers to the calling thread). 3 and 5 divide
   // neither 64 nor 16, so uneven chunk boundaries are covered on the
-  // cut-free city and on the coordinator-driven chain alike.
-  for (const SparseCase& c : sparse_cases()) {
+  // cut-free city and on the coordinator-driven chain alike. On the chain
+  // every cell's interval edges run in chunks too, so it runs all three
+  // shardable schemes, DB-DP's per-interval planning included.
+  std::vector<SparseCase> cases = sparse_cases();
+  cases.push_back({"chain DCF", expfw::chain_cells_topology(16, 8), expfw::dcf_factory(), 16});
+  cases.push_back({"chain DB-DP", expfw::chain_cells_topology(16, 8), expfw::dbdp_factory(), 16});
+  for (const SparseCase& c : cases) {
     const RunRecord serial = sparse_run(c, c.cells, 1);
     EXPECT_GT(serial.delivered, 0U) << c.name;
+    if (c.cells == 16) {
+      EXPECT_GT(chain_cut_collisions(serial, c.cells), 0U) << c.name;
+    }
     for (const std::size_t jobs : {2UL, 3UL, 4UL}) {
       expect_same_run(serial, sparse_run(c, c.cells, jobs),
                       std::string{c.name} + " shard_jobs=" + std::to_string(jobs));
@@ -292,6 +309,30 @@ TEST(ShardedNetworkTest, CellExceptionOnTheCutFreePathIsRethrownAndTheNetworkDes
     Network network{std::move(cfg), factory};
     ASSERT_EQ(network.cell_count(), 12U);
     network.run(2);
+    EXPECT_THROW(network.run(1), std::runtime_error);
+  }
+}
+
+TEST(ShardedNetworkTest, CellExceptionOnTheCutPathIsRethrownAndTheNetworkDestructs) {
+  // The chain of 16 cut cells on a 3-worker pool: the cell holding link 40
+  // throws from begin_interval, which runs inside a parallel chunk before
+  // the coordinator's rounds. Network::run must surface the exception, and
+  // destruction must not wait on a worker that never comes back.
+  const mac::SchemeFactory fcsma = expfw::fcsma_factory();
+  const mac::SchemeFactory factory = [&fcsma](const mac::SchemeContext& ctx) {
+    return std::make_unique<FailingScheme>(fcsma(ctx), ctx.global_id(0) == 40);
+  };
+  auto cfg = expfw::with_sparse_topology(
+      net::symmetric_network(128, Duration::milliseconds(2), phy::PhyParams::control_80211a(),
+                             0.7, traffic::BernoulliArrivals{0.8}, 0.9, 7),
+      expfw::chain_cells_topology(16, 8));
+  cfg.shards = 16;
+  cfg.shard_jobs = 3;
+  {
+    Network network{std::move(cfg), factory};
+    ASSERT_EQ(network.cell_count(), 16U);
+    network.run(2);
+    ASSERT_GT(network.coordinator_rounds(), 0U);
     EXPECT_THROW(network.run(1), std::runtime_error);
   }
 }

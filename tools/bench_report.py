@@ -19,7 +19,7 @@ Gating: with --gate-zero-alloc, every benchmark whose name contains
 "allocs_per_interval", ...) as exactly 0, or the tool exits 1. The gate also
 requires the sentinel benchmarks BM_EventQueueSteadyStateAllocs,
 BM_DbdpIntervalAllocs, BM_SketchUpdateAllocs, BM_MediumTxAllocs and
-BM_ShardedIntervalAllocs to be present, so renaming
+BM_ShardedIntervalAllocs/{city,chain} to be present, so renaming
 or dropping them cannot silently disable it. Malformed or empty input exits 2. A benchmark JSON that
 parses but carries error_occurred entries also exits 2 (a crashed benchmark
 must fail CI, not produce a hollow trajectory point).
@@ -128,11 +128,11 @@ def distill(raw):
 # Benchmarks the zero-alloc gate insists on seeing: the engine churn window,
 # the full DB-DP interval path, the quantile-sketch update path, the
 # Medium's transmission lifecycle (marked-view dispatch), and the sharded
-# city's chunked parallel_for dispatch. Their absence means the gate would
-# pass vacuously, so it is treated as a violation.
+# city's and chain's chunked parallel_for dispatch. Their absence means the
+# gate would pass vacuously, so it is treated as a violation.
 _GATE_SENTINELS = ("BM_EventQueueSteadyStateAllocs", "BM_DbdpIntervalAllocs",
                    "BM_SketchUpdateAllocs", "BM_MediumTxAllocs",
-                   "BM_ShardedIntervalAllocs")
+                   "BM_ShardedIntervalAllocs/city", "BM_ShardedIntervalAllocs/chain")
 
 
 def gate_zero_alloc(benchmarks):

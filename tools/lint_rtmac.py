@@ -37,9 +37,9 @@ cannot express:
                       CI-gated).
   shard-isolation     No shard-mode Medium plumbing (configure_shard,
                       register_remote_sense, inject_remote_activity,
-                      drain_cut_outbox, set_resolution_horizon) outside the
-                      Medium itself, the shard coordinator, and the Network
-                      glue in src/net/network.cpp. Cross-shard state flows
+                      cut_outbox, clear_cut_outbox, set_resolution_horizon)
+                      outside the Medium itself, the shard coordinator, and
+                      the Network glue in src/net/network.cpp. Cross-shard state flows
                       through the coordinator's deterministic mailboxes only;
                       a stray call from scheme/bench code would bypass the
                       window barriers and break run-to-run determinism.
@@ -180,7 +180,7 @@ INTERVAL_IFACE_RE = re.compile(r"\b(?:begin|end)_interval\s*\(")
 
 SHARD_ISOLATION_RE = re.compile(
     r"\b(?:configure_shard|register_remote_sense|inject_remote_activity"
-    r"|drain_cut_outbox|set_resolution_horizon)\s*\(")
+    r"|cut_outbox|clear_cut_outbox|set_resolution_horizon)\s*\(")
 
 ALLOC_CONTAINER_RE = re.compile(
     r"\bstd\s*::\s*(?:vector|deque|list|forward_list|map|set|multimap"

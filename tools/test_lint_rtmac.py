@@ -270,7 +270,7 @@ class TreeScanAndAllowlist(unittest.TestCase):
         (root / "src" / "mac").mkdir()
         (root / "src" / "mac" / "rogue.cpp").write_text(
             "medium.inject_remote_activity(rec);\n"
-            "medium.drain_cut_outbox(out);\n")
+            "medium.clear_cut_outbox();\n")
         v = lint_rtmac.scan_tree(root)
         self.assertEqual([x.rule for x in v],
                          ["shard-isolation", "shard-isolation"])
@@ -284,7 +284,8 @@ class TreeScanAndAllowlist(unittest.TestCase):
         shard_calls = ("m.configure_shard(cfg);\n"
                        "m.register_remote_sense(speaker, nodes);\n"
                        "m.set_resolution_horizon(end);\n"
-                       "m.drain_cut_outbox(out);\n"
+                       "m.cut_outbox();\n"
+                       "m.clear_cut_outbox();\n"
                        "m.inject_remote_activity(rec);\n")
         (root / "src" / "phy" / "medium.cpp").write_text(shard_calls)
         (root / "src" / "net" / "network.cpp").write_text(shard_calls)
@@ -304,7 +305,7 @@ class TreeScanAndAllowlist(unittest.TestCase):
         # Suppression works like every other rule.
         v = violations_in(
             lint_rtmac.check_shard_isolation,
-            "m.drain_cut_outbox(out);  // lint-ok: shard-isolation test rig\n")
+            "m.cut_outbox();  // lint-ok: shard-isolation test rig\n")
         self.assertEqual(v, [])
 
     def test_obs_stream_nondet_rng_fails(self):
