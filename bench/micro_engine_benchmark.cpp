@@ -35,6 +35,7 @@
 #include "phy/interference.hpp"
 #include "phy/medium.hpp"
 #include "phy/phy_params.hpp"
+#include "sim/shard_partitioner.hpp"
 #include "sim/simulator.hpp"
 #include "traffic/arrival_process.hpp"
 #include "util/rng.hpp"
@@ -597,6 +598,33 @@ BENCHMARK(BM_NetworkBuild)
     ->Args({16384, 16384 / 8})
     ->Args({65536, 0})
     ->Args({65536, 65536 / 8})
+    ->Unit(benchmark::kMillisecond);
+
+// sim::partition_topology on perfbench's two shapes, one target shard per
+// 8-link cell: the unit-disk city, whose clusters already are the cells
+// (components only, no bisection), and the hidden-terminal chain, one
+// component bisected down to its cliques. Arg = links; the chain's 2^17 row
+// makes 2^14 splits at high link ids. Both must cost O(links + edges) plus
+// O(splits log cells), so time per link stays flat across the sizes.
+void BM_PartitionTopology(benchmark::State& state, bool chain) {
+  const auto links = static_cast<std::size_t>(state.range(0));
+  const std::size_t cells = links / 8;
+  const phy::SparseTopology topology = chain ? expfw::chain_cells_topology(cells, 8)
+                                             : expfw::city_unit_disk_topology(cells, 8, 23);
+  for (auto _ : state) {
+    const sim::ShardPlan plan = sim::partition_topology(topology.conflict, topology.sense, cells);
+    benchmark::DoNotOptimize(plan.cells.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(links));
+  state.SetLabel("items = links");
+}
+BENCHMARK_CAPTURE(BM_PartitionTopology, city, false)
+    ->Arg(1 << 11)
+    ->Arg(1 << 17)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PartitionTopology, chain, true)
+    ->Arg(1 << 11)
+    ->Arg(1 << 17)
     ->Unit(benchmark::kMillisecond);
 
 // One-pass fold of per-cell registries into an export target, the sharded

@@ -347,7 +347,8 @@ void Network::build_cells(const mac::SchemeFactory& scheme_factory) {
     // domain when there is none.
     phy::InterferenceGraph graph =
         config_.sparse_topology != nullptr
-            ? phy::InterferenceGraph::induced(*config_.sparse_topology, cell->links, flags)
+            ? phy::InterferenceGraph::induced(*config_.sparse_topology, cell->links,
+                                              plan_.cell_of, local_of_, flags)
             : phy::InterferenceGraph::complete(links.size());
     cell->medium = std::make_unique<phy::Medium>(cell->sim, std::move(channel), std::move(graph),
                                                  config_.seed, &arena_);

@@ -112,30 +112,50 @@ InterferenceGraph InterferenceGraph::complete(std::size_t num_links) {
                            {build_rows(num_links, all_pairs), build_rows(num_links, all_pairs)}};
 }
 
+InterferenceGraph::InterferenceGraph(std::size_t n, std::pair<CsrRows, CsrRows> rows,
+                                     SubgraphFlags flags)
+    : InterferenceGraph{n, std::move(rows)} {
+  if (flags == SubgraphFlags::kClearCompleteness) {
+    complete_conflicts_ = false;
+    complete_sensing_ = false;
+  }
+}
+
 InterferenceGraph InterferenceGraph::induced(const SparseTopology& topology,
                                              std::span<const LinkId> links,
                                              SubgraphFlags flags) {
+  // A two-cell partition: `links` is cell 0, every other link cell 1.
+  std::vector<std::uint32_t> cell_of(topology.num_links, 1);
+  std::vector<LinkId> local_of(topology.num_links, 0);
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    RTMAC_REQUIRE(links[i] < topology.num_links, "induced subgraph names an unknown link");
+    cell_of[links[i]] = 0;
+    local_of[links[i]] = static_cast<LinkId>(i);
+  }
+  return induced(topology, links, cell_of, local_of, flags);
+}
+
+InterferenceGraph InterferenceGraph::induced(const SparseTopology& topology,
+                                             std::span<const LinkId> links,
+                                             std::span<const std::uint32_t> cell_of,
+                                             std::span<const LinkId> local_of,
+                                             SubgraphFlags flags) {
   const std::size_t k = links.size();
   RTMAC_REQUIRE(k >= 1, "induced subgraph needs at least one link");
+  RTMAC_REQUIRE(cell_of.size() == topology.num_links && local_of.size() == topology.num_links,
+                "cell maps must index every link");
+  const std::uint32_t cell = cell_of[links[0]];
   for (std::size_t i = 0; i < k; ++i) {
     RTMAC_REQUIRE(links[i] < topology.num_links, "induced subgraph names an unknown link");
     RTMAC_REQUIRE(i == 0 || links[i - 1] < links[i], "induced subgraph links must ascend");
+    RTMAC_REQUIRE(cell_of[links[i]] == cell && local_of[links[i]] == i,
+                  "cell maps disagree with the cell's links");
   }
-  // Ascending distinct ids below num_links: a full set is exactly 0..k-1.
-  const bool every_link = k == topology.num_links;
-  const auto local_of = [links, k, every_link](LinkId global) -> std::size_t {
-    if (every_link) return global;
-    const auto it = std::lower_bound(links.begin(), links.end(), global);
-    return (it != links.end() && *it == global) ? static_cast<std::size_t>(it - links.begin())
-                                                : k;
+  const auto local = [cell_of, local_of, cell, k](LinkId global) -> std::size_t {
+    return cell_of[global] == cell ? local_of[global] : k;
   };
-  InterferenceGraph g{
-      k, topology_rows(topology, k, [links](std::size_t a) { return links[a]; }, local_of)};
-  if (flags == SubgraphFlags::kClearCompleteness) {
-    g.complete_conflicts_ = false;
-    g.complete_sensing_ = false;
-  }
-  return g;
+  return InterferenceGraph{
+      k, topology_rows(topology, k, [links](std::size_t a) { return links[a]; }, local), flags};
 }
 
 namespace {

@@ -17,9 +17,9 @@
 // SparseTopology (adjacency lists) is the one topology a network config
 // carries; no topology means the paper's complete domain. InterferenceGraph
 // is the per-Medium view of it: compressed rows built in O(N + E) for the
-// whole topology, for one cell's induced subgraph, or for the complete
-// graph. No n x n matrix exists anywhere, so the same types serve a
-// ten-link paper figure and a 10^6-link city.
+// whole topology, for the complete graph, or, in O(k + E_k), for one
+// partition cell's induced subgraph. No n x n matrix exists anywhere, so the
+// same types serve a ten-link paper figure and a 10^6-link city.
 #pragma once
 
 #include <algorithm>
@@ -108,11 +108,23 @@ class InterferenceGraph {
   /// Subgraph of `topology` induced by `links` (ascending global ids; local
   /// id i is links[i]), normalized like the constructor; relations leaving
   /// the set are dropped. Completeness flags per `flags` (see
-  /// SubgraphFlags). O(k + E_links log k); O(N + E) when `links` is every
-  /// link.
+  /// SubgraphFlags). Builds the two-cell maps of the overload below
+  /// (`links` and the rest): O(N + E_links), for standalone callers.
   [[nodiscard]] static InterferenceGraph induced(
       const SparseTopology& topology, std::span<const LinkId> links,
       SubgraphFlags flags = SubgraphFlags::kClearCompleteness);
+
+  /// The same subgraph for one cell of a partition that already indexes
+  /// every link: `cell_of[g]` is g's cell and `local_of[g]` its position in
+  /// that cell, and `links` is the whole cell cell_of[links[0]], ascending.
+  /// Partners resolve through the two maps in O(1), with no scratch of the
+  /// topology's size: O(k + E_links) per cell, so building every cell of a
+  /// partition costs O(N + E) in all.
+  [[nodiscard]] static InterferenceGraph induced(const SparseTopology& topology,
+                                                 std::span<const LinkId> links,
+                                                 std::span<const std::uint32_t> cell_of,
+                                                 std::span<const LinkId> local_of,
+                                                 SubgraphFlags flags);
 
   [[nodiscard]] std::size_t num_links() const { return n_; }
 
@@ -167,6 +179,8 @@ class InterferenceGraph {
   /// Takes the (conflict, sensed_by) rows and sets the completeness flags
   /// from their sizes.
   InterferenceGraph(std::size_t n, std::pair<CsrRows, CsrRows> rows);
+  /// The same, then clears the flags when `flags` asks for it.
+  InterferenceGraph(std::size_t n, std::pair<CsrRows, CsrRows> rows, SubgraphFlags flags);
 
   std::size_t n_ = 0;
   CsrRows conflict_;   ///< symmetric, self included

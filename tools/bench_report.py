@@ -40,6 +40,13 @@ directory (skipping the file named by -o, so regenerating a trajectory
 point never uses itself as its own baseline); --no-baseline disables the
 comparison entirely.
 
+A speedup is only meaningful against a baseline from the same context: the
+same host and the same CPU count. A baseline whose context names a
+different host_name or num_cpus than this run (or lacks either field) is
+refused with exit 2 when given explicitly; an auto-picked one is skipped
+with the reason printed, so a run on other hardware (a CI runner) still
+distills its report, just without a speedup map.
+
 --extra FILE (repeatable) embeds additional JSON documents — e.g. the
 city-scale sharded-engine numbers written by bench/city_scale to
 bench_out/city_scale.json — under the output's "extra" map, keyed by the
@@ -71,8 +78,17 @@ _CONTEXT_KEYS = ("host_name", "executable", "num_cpus", "mhz_per_cpu",
                  "cpu_scaling_enabled", "library_build_type")
 
 
+# Context fields a baseline must share with the current run before their
+# times may be compared.
+_BASELINE_CONTEXT_KEYS = ("host_name", "num_cpus")
+
+
 class ReportError(Exception):
     """Malformed benchmark input."""
+
+
+class ContextMismatch(Exception):
+    """An explicit baseline was recorded in another context."""
 
 
 def _to_ns(value, unit):
@@ -232,6 +248,19 @@ def latest_committed_baseline(directory=Path("."), exclude=None):
     return best
 
 
+def context_mismatches(current, baseline):
+    """Why a baseline recorded in context `baseline` cannot be compared with
+    a run in context `current` (both context dicts): one reason per
+    differing or missing _BASELINE_CONTEXT_KEYS field, empty when they
+    match."""
+    reasons = []
+    for key in _BASELINE_CONTEXT_KEYS:
+        ours, theirs = current.get(key), baseline.get(key)
+        if ours is None or theirs is None or ours != theirs:
+            reasons.append(f"{key} {theirs!r} in the baseline, {ours!r} here")
+    return reasons
+
+
 def speedups(current, baseline):
     out = {}
     for name, bench in sorted(current.items()):
@@ -288,15 +317,29 @@ def main(argv=None):
         doc["context"] = {k: context[k] for k in _CONTEXT_KEYS if k in context}
         doc["benchmarks"] = benchmarks
         baseline_path = args.baseline
+        auto_picked = False
         if baseline_path is None and not args.no_baseline:
             baseline_path = latest_committed_baseline(exclude=args.output)
-            if baseline_path is not None:
+            auto_picked = baseline_path is not None
+            if auto_picked:
                 print(f"bench_report: baseline auto-picked: {baseline_path}")
         if baseline_path is not None and not args.no_baseline:
             base_raw = json.loads(baseline_path.read_text())
             base = load_benchmarks(base_raw)
-            doc["baseline"] = base
-            doc["speedup_vs_baseline"] = speedups(benchmarks, base)
+            base_context = base_raw.get("context")
+            mismatches = context_mismatches(
+                doc["context"], base_context if isinstance(base_context, dict) else {})
+            if mismatches and not auto_picked:
+                raise ContextMismatch(
+                    f"baseline {baseline_path} was recorded in another "
+                    f"context ({'; '.join(mismatches)}); its times are not "
+                    "comparable")
+            if mismatches:
+                print(f"bench_report: skipping baseline {baseline_path}, "
+                      f"recorded in another context: {'; '.join(mismatches)}")
+            else:
+                doc["baseline"] = base
+                doc["speedup_vs_baseline"] = speedups(benchmarks, base)
         for extra_path in args.extra:
             extra = json.loads(extra_path.read_text())
             if not isinstance(extra, dict):
@@ -305,6 +348,9 @@ def main(argv=None):
             doc.setdefault("extra", {})[str(key)] = extra
     except (ReportError, OSError, json.JSONDecodeError) as e:
         print(f"bench_report: malformed input: {e}", file=sys.stderr)
+        return 2
+    except ContextMismatch as e:
+        print(f"bench_report: refused: {e}", file=sys.stderr)
         return 2
 
     args.output.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
