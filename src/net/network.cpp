@@ -1,6 +1,7 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -541,19 +542,21 @@ void Network::run(IntervalIndex intervals) {
   }
 }
 
+template <typename Step>
+void Network::in_chunks(const Step& step) {
+  const auto run_chunk = [&](std::size_t w) {
+    for (const std::uint32_t ci : chunks_[w]) step(*cells_[ci]);
+  };
+  if (pool_ != nullptr) {
+    pool_->parallel_for(chunks_.size(), run_chunk);
+  } else {
+    run_chunk(0);
+  }
+}
+
 void Network::run_cells(IntervalIndex k, TimePoint start, TimePoint end) {
   // Every per-cell step runs in chunks: a cell's interval edges touch only
   // its own engine stack and its own slots of arrivals_ and delivered_.
-  const auto in_chunks = [this](const auto& step) {
-    const auto run_chunk = [&](std::size_t w) {
-      for (const std::uint32_t ci : chunks_[w]) step(*cells_[ci]);
-    };
-    if (pool_ != nullptr) {
-      pool_->parallel_for(chunks_.size(), run_chunk);
-    } else {
-      run_chunk(0);
-    }
-  };
   if (coordinator_ == nullptr) {
     // Cut-free path: cells are independent, so an interval is one fork-join.
     in_chunks([&](Cell& cell) {
@@ -580,15 +583,22 @@ void Network::finish_interval(IntervalIndex k, TimePoint end) {
   debts_.on_interval_end(delivered_);
   stats_.record(arrivals_, delivered_);
   if (metrics_ != nullptr) {
-    int total_delivered = 0;
-    for (std::size_t n = 0; n < n_links; ++n) {
-      total_delivered += delivered_[n];
-      const double debt = debts_.debt(static_cast<LinkId>(n));
-      debt_gauges_[n]->set(debt);
-      debt_sketches_[n]->update(debt);
-    }
-    debt_linf_gauge_->set(debts_.linf());
-    debt_linf_sketch_->update(debts_.linf());
+    // Per-link series are recorded in chunks: a link's gauge and sketch
+    // belong to its cell's chunk alone, and each sketch still gets one
+    // update per interval in interval order, so the results do not depend
+    // on the worker count.
+    in_chunks([this](Cell& cell) {
+      for (const LinkId n : cell.links) {
+        const double debt = debts_.debt(n);
+        debt_gauges_[n]->set(debt);
+        debt_sketches_[n]->update(debt);
+      }
+    });
+    const int total_delivered = std::accumulate(
+        delivered_.begin(), delivered_.begin() + static_cast<std::ptrdiff_t>(n_links), 0);
+    const double linf = debts_.linf();
+    debt_linf_gauge_->set(linf);
+    debt_linf_sketch_->update(linf);
     deliveries_sketch_->update(static_cast<double>(total_delivered));
     // In-run time-series export: one whole-registry snapshot every
     // cadence intervals, stamped with sim time only (stream_tick is a

@@ -170,6 +170,11 @@ class Network {
   class CutState;
 
   void build_cells(const mac::SchemeFactory& scheme_factory);
+  /// Runs `step(cell)` for every cell, one fork-join over chunks_ (serial
+  /// without a pool). A step may touch only its own cell's state and the
+  /// per-link slots of the cell's links.
+  template <typename Step>
+  void in_chunks(const Step& step);
   void run_cells(IntervalIndex k, TimePoint start, TimePoint end);
   void finish_interval(IntervalIndex k, TimePoint end);
 

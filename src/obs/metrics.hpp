@@ -153,6 +153,9 @@ class MetricsRegistry {
   /// `"scheme":"LDF","x":0.4,"rep":0` — spliced into every line so a
   /// concatenated multi-run file stays self-describing. Callers are
   /// responsible for the header line (write_metrics_header) once per file.
+  /// Though const, the export writes: each sketch's quantile() reorders its
+  /// retained samples in place (see QuantileSketch), so an export must not
+  /// overlap another export or any read of the same registry's sketches.
   void write_jsonl(std::ostream& out, std::string_view context = {}) const;
 
  private:

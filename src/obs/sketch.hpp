@@ -19,20 +19,39 @@
 //    engine's byte-identical --jobs exports rely on).
 //  - merge() is a pure union: it appends the other sketch's retained
 //    weighted samples and commutative scalars without re-compacting, and
-//    every exported statistic is computed from the sorted weighted-sample
-//    multiset (sums are reduced in a canonical order). Merging a set of
+//    every exported statistic is a function of the weighted-sample multiset
+//    (sums are reduced in a canonical order). Merging a set of
 //    sketches therefore yields byte-identical exports for ANY merge order
 //    or grouping, at the cost of O(retained) memory per merged input.
 //
 // Costs:
-//  - merge() of a batch of inputs reserves the merged-sample buffer for
-//    their whole union once, then appends: O(total retained) time, and the
-//    buffer is never over-allocated. Fold many sketches (e.g. every cell
-//    registry of a sharded run) with one batch call, not one call per
-//    input, or each call re-copies the growing union.
-//  - Estimates read a sorted gather of every retained sample. The gather
-//    is cached until the next update()/merge(), so the quantiles of one
-//    export (p50/p90/p99) share a single O(r log r) sort.
+//  - merge() of a batch of inputs builds the merged-sample buffer for the
+//    whole union once: O(total retained) time, and the buffer is never
+//    over-allocated. Fold many sketches (e.g. every cell registry of a
+//    sharded run) with one batch call, not one call per input, or each call
+//    re-copies the growing union. Merged samples are stored as plain values
+//    grouped by level (the group gives the weight), 8 bytes each.
+//  - Reads never copy the retained samples; they reorder them in place
+//    within their level or merged group, which no output depends on
+//    (compaction sorts a level before it promotes, and every estimate reads
+//    the weighted multiset).
+//      * An exact sketch with no merged inputs keeps level 0 sorted: a read
+//        sorts only the samples added since the last read, merges them into
+//        the sorted prefix (O(new log new + retained)), and then indexes
+//        every quantile directly. Periodic snapshots of a growing exact
+//        sketch therefore cost O(retained) each, not a full re-sort. The
+//        merge stages the new samples in a fixed stack buffer, so reads
+//        allocate nothing; more new samples than it holds re-sort the level.
+//      * Every other read is a weighted selection over the level runs and
+//        merged groups: the smallest retained value v whose covered weight
+//        W(<= v) reaches the rank, found by three-way partitioning in
+//        expected O(retained) per quantile, so an export's p50/p90/p99 cost
+//        three selections. Selection could answer exact sketches too, but
+//        a streamed snapshot of per-link debt sketches (three reads each of
+//        25-100 samples) costs about 2.5x as much that way as through the
+//        sorted prefix.
+//  - sum() walks the merged inputs' sums, kept sorted by merge(): no
+//    allocation, O(merged inputs).
 //
 // Memory is sized by use. Construction allocates only the exact-mode level
 // 0 (`exact_threshold` doubles), so a sketch that never compacts (a per-link
@@ -74,7 +93,8 @@ struct SketchOptions {
 };
 
 /// Deterministic, memory-bounded, mergeable rank sketch. Single-threaded,
-/// like every obs instrument (one per simulation task).
+/// like every obs instrument (one per simulation task); reads reorder the
+/// retained samples in place, so even two const reads must not overlap.
 class QuantileSketch {
  public:
   /// Throws std::invalid_argument on k < 4, exact_threshold < 4, or odd
@@ -122,25 +142,28 @@ class QuantileSketch {
   /// so 48 levels cover > 10^16 samples before the top could fill.
   static constexpr std::size_t kMaxLevels = 48;
 
-  struct Weighted {
-    double value;
-    std::uint64_t weight;
-  };
+  struct RankSelect;  // weighted selection over the runs (sketch.cpp)
 
   void compact(std::size_t level);
-  /// Fills scratch_ with every retained weighted sample, sorted by value
-  /// (ties by weight) — the canonical multiset view all estimates use.
-  /// No-op while the cached gather is still current.
-  void gather() const;
+  /// Sorts level 0 in place: the tail added since the last read is sorted
+  /// and merged into the sorted prefix.
+  void sort_level0() const;
+  /// Merged samples of weight 2^level (empty past the levels in use).
+  [[nodiscard]] std::span<double> merged_group(std::size_t level) const;
 
   SketchOptions opts_;
   Rng coin_;
   /// All levels, one flat block: level 0 only until the first compaction,
-  /// then every level. Levels past the block are empty until then.
-  std::vector<double> storage_;
+  /// then every level. Levels past the block are empty until then. Mutable
+  /// because reads reorder samples within a level (see Costs).
+  mutable std::vector<double> storage_;
   std::array<std::uint32_t, kMaxLevels> offset_{};    ///< level start in storage_
   std::array<std::uint32_t, kMaxLevels> capacity_{};  ///< level slot count
   std::array<std::uint32_t, kMaxLevels> size_{};      ///< live samples per level
+  /// Level 0's sorted prefix. Read only while the sketch is exact and has
+  /// no merged samples; neither state returns once left, so compaction and
+  /// selection, which reorder level 0, need not reset it.
+  mutable std::uint32_t sorted_ = 0;
 
   std::uint64_t count_ = 0;
   double sum_ = 0.0;  ///< own update stream only; see sum()
@@ -148,10 +171,12 @@ class QuantileSketch {
   double max_ = 0.0;
   bool exact_ = true;
 
-  std::vector<Weighted> merged_;     ///< union of merged inputs' samples
-  std::vector<double> merged_sums_;  ///< each merged input's own-stream sum
-  mutable std::vector<Weighted> scratch_;  ///< estimate workspace (lazy)
-  mutable bool gathered_ = false;  ///< scratch_ is current; update/merge clear it
+  /// Union of the merged inputs' samples, grouped by level: group l ends
+  /// at merged_end_[l] and carries weight 2^l. Mutable for the same reason
+  /// as storage_.
+  mutable std::vector<double> merged_;
+  std::vector<std::size_t> merged_end_;  ///< group ends; one per level in use
+  std::vector<double> merged_sums_;      ///< each merged input's own-stream sum, sorted
 };
 
 }  // namespace rtmac::obs

@@ -20,6 +20,7 @@
 #include "net/network_config.hpp"
 #include "obs/collect.hpp"
 #include "obs/metrics.hpp"
+#include "obs/stream.hpp"
 #include "phy/interference.hpp"
 #include "traffic/arrival_process.hpp"
 #include "util/check.hpp"
@@ -40,6 +41,7 @@ struct RunRecord {
   std::uint64_t delivered = 0;
   std::uint64_t channel_losses = 0;
   std::string metrics_jsonl;
+  std::string stream_jsonl;  ///< in-run snapshots, when streaming was on
 
   friend bool operator==(const RunRecord&, const RunRecord&) = default;
 };
@@ -69,18 +71,24 @@ void expect_same_run(const RunRecord& a, const RunRecord& b, const std::string& 
       ++line;
     }
   }
+  EXPECT_TRUE(a.stream_jsonl == b.stream_jsonl) << label << ": metrics stream";
 }
 
+/// `stream_every` > 0 also streams a snapshot every that many intervals.
 RunRecord run_network(NetworkConfig config, const mac::SchemeFactory& factory,
-                      IntervalIndex intervals = kIntervals) {
+                      IntervalIndex intervals = kIntervals, std::uint64_t stream_every = 0) {
   Network network{std::move(config), factory};
   RunRecord rec;
   network.add_observer([&rec](IntervalIndex, std::span<const int>, std::span<const int> d) {
     rec.delivered_series.insert(rec.delivered_series.end(), d.begin(), d.end());
   });
   obs::MetricsRegistry registry;
+  obs::StringStreamSink stream;
   network.attach_metrics(&registry);
+  if (stream_every > 0) registry.stream_to(&stream, stream_every);
   network.run(intervals);
+  registry.stream_to(nullptr);
+  rec.stream_jsonl = stream.str();
 
   const std::size_t n = network.config().num_links();
   for (LinkId l = 0; l < n; ++l) {
@@ -208,10 +216,13 @@ std::vector<SparseCase> sparse_cases() {
   return cases;
 }
 
-/// 20 intervals of `c` at `shards`/`shard_jobs`. The metrics export is left
-/// out: at this size one registry's latency sketch compacts while each
-/// cell's stays exact, so estimated quantiles depend on the engine shape.
-RunRecord sparse_run(const SparseCase& c, std::size_t shards, std::size_t shard_jobs = 0) {
+/// 20 intervals of `c` at `shards`/`shard_jobs`. Unless `observed`, the
+/// metrics export is left out: at this size one registry's latency sketch
+/// compacts while each cell's stays exact, so estimated quantiles depend on
+/// the engine shape. With `observed` the export is kept and a snapshot is
+/// streamed every 5 intervals, for comparisons at one fixed shape.
+RunRecord sparse_run(const SparseCase& c, std::size_t shards, std::size_t shard_jobs = 0,
+                     bool observed = false) {
   auto cfg = expfw::with_sparse_topology(
       net::symmetric_network(c.topology.num_links, Duration::milliseconds(2),
                              phy::PhyParams::control_80211a(), 0.7,
@@ -219,8 +230,8 @@ RunRecord sparse_run(const SparseCase& c, std::size_t shards, std::size_t shard_
       c.topology);
   cfg.shards = shards;
   cfg.shard_jobs = shard_jobs;
-  RunRecord rec = run_network(std::move(cfg), c.factory, 20);
-  rec.metrics_jsonl.clear();
+  RunRecord rec = run_network(std::move(cfg), c.factory, 20, observed ? 5 : 0);
+  if (!observed) rec.metrics_jsonl.clear();
   return rec;
 }
 
@@ -256,18 +267,22 @@ TEST(ShardedNetworkTest, ChunkedDispatchIsIndependentOfShardJobs) {
   // neither 64 nor 16, so uneven chunk boundaries are covered on the
   // cut-free city and on the coordinator-driven chain alike. On the chain
   // every cell's interval edges run in chunks too, so it runs all three
-  // shardable schemes, DB-DP's per-interval planning included.
+  // shardable schemes, DB-DP's per-interval planning included. The plan is
+  // fixed, so the metrics export and the stream (per-link debt recorded in
+  // chunks, read every 5 intervals) must match byte for byte as well.
   std::vector<SparseCase> cases = sparse_cases();
   cases.push_back({"chain DCF", expfw::chain_cells_topology(16, 8), expfw::dcf_factory(), 16});
   cases.push_back({"chain DB-DP", expfw::chain_cells_topology(16, 8), expfw::dbdp_factory(), 16});
   for (const SparseCase& c : cases) {
-    const RunRecord serial = sparse_run(c, c.cells, 1);
+    const RunRecord serial = sparse_run(c, c.cells, 1, /*observed=*/true);
     EXPECT_GT(serial.delivered, 0U) << c.name;
+    EXPECT_NE(serial.metrics_jsonl.find("core.debt_per_interval"), std::string::npos) << c.name;
+    EXPECT_NE(serial.stream_jsonl.find("\"k\":19"), std::string::npos) << c.name;
     if (c.cells == 16) {
       EXPECT_GT(chain_cut_collisions(serial, c.cells), 0U) << c.name;
     }
     for (const std::size_t jobs : {2UL, 3UL, 4UL}) {
-      expect_same_run(serial, sparse_run(c, c.cells, jobs),
+      expect_same_run(serial, sparse_run(c, c.cells, jobs, /*observed=*/true),
                       std::string{c.name} + " shard_jobs=" + std::to_string(jobs));
     }
   }
