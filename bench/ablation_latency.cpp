@@ -5,12 +5,16 @@
 // the deadline, how early do they arrive? The centralized genie serves
 // back-to-back from the interval start; DP pays a few 9 us backoff slots;
 // FCSMA/DCF pay random backoff plus collision retries.
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <iostream>
+#include <string>
 
 #include "expfw/bench_cli.hpp"
 #include "expfw/scenarios.hpp"
 #include "net/network.hpp"
-#include "stats/latency.hpp"
+#include "obs/metrics.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -24,15 +28,27 @@ int main(int argc, char** argv) {
   for (const auto& factory : {expfw::ldf_factory(), expfw::dbdp_factory(),
                               expfw::fcsma_factory(), expfw::dcf_factory()}) {
     net::Network net{expfw::video_symmetric(0.55, 0.9, 1017), factory};
-    sim::Tracer tracer{1u << 22};
-    net.attach_tracer(&tracer);
+    // The Medium records every data delivery's latency into this sketch.
+    // One medium fits at most transmissions_per_interval deliveries into an
+    // interval, so a level 0 that large keeps every sample of the run and
+    // the quantiles exact (nearest-rank), at any horizon.
+    const auto per_interval = static_cast<std::uint64_t>(
+        net.config().phy.transmissions_per_interval(net.config().interval_length));
+    obs::SketchOptions keep_all;
+    keep_all.exact_threshold = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(2 * (per_interval * args.intervals / 2 + 2), 1U << 30));
+    obs::MetricsRegistry registry;
+    const obs::QuantileSketch& lat = registry.sketch("phy.delivery_latency_us", keep_all);
+    net.attach_metrics(&registry);
     net.run(args.intervals);
-    const auto lat = stats::delivery_latencies(tracer, Duration::milliseconds(20));
+    // An empty sketch reads NaN: no deliveries, nothing to report.
+    const auto us = [](double v) {
+      return std::isnan(v) ? std::string{"-"} : Duration::from_us_f(v).to_string();
+    };
     table.add_row({net.scheme().name(),
                    TablePrinter::num(static_cast<std::int64_t>(lat.count())),
-                   lat.quantile(0.5).to_string(), lat.quantile(0.9).to_string(),
-                   lat.quantile(0.99).to_string(), lat.max().to_string(),
-                   lat.mean().to_string()});
+                   us(lat.quantile(0.5)), us(lat.quantile(0.9)), us(lat.quantile(0.99)),
+                   us(lat.max()), us(lat.mean())});
   }
   table.print(std::cout);
   std::cout << "\nall latencies bounded by the 20 ms deadline by construction;\n"

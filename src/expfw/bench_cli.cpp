@@ -29,7 +29,8 @@ BenchArgs parse_bench_args(int argc, const char* const* argv,
         << "  --intervals N    deadline intervals per simulation (default "
         << default_intervals << ")\n"
         << "  --reps N         replications per grid point (default 1)\n"
-        << "  --jobs N         sweep worker threads (default 0 = all cores)\n"
+        << "  --jobs N         sweep pool workers beside the calling thread\n"
+        << "                   (default 0 = one per core)\n"
         << "  --shards N       partition each network into N shards (0 = one cell,\n"
         << "                   no partitioning; default: whatever the bench's\n"
         << "                   configs say). Results are byte-identical for any value.\n"

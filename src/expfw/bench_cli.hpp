@@ -6,7 +6,8 @@
 //                     a bare positional integer is accepted for backward
 //                     compatibility with the pre-flag invocation style)
 //   --reps N          independent replications per grid point (default 1)
-//   --jobs N          sweep worker threads (default 0 = all hardware threads)
+//   --jobs N          sweep pool workers beside the calling thread
+//                     (default 0 = one per hardware thread)
 //   --smoke           CI mode: tiny grid + short horizon, exercises the full
 //                     binary in seconds
 //   --metrics-out D   write JSONL metrics (per-link delivery/collision

@@ -3,9 +3,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <fstream>
-#include <future>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -222,6 +222,7 @@ std::vector<SweepResult> run_sweeps(const std::vector<SchemeSpec>& schemes,
   }
 
   const std::size_t tasks = schemes.size() * grid.size() * opts.reps;
+  // `jobs` pool workers, and the calling thread takes tasks beside them.
   const std::size_t requested = opts.jobs == 0 ? ThreadPool::hardware_threads() : opts.jobs;
   ThreadPool pool{std::min(requested, tasks)};
   SerializedConfigAt serialized_config_at{config_at};
@@ -273,95 +274,98 @@ std::vector<SweepResult> run_sweeps(const std::vector<SchemeSpec>& schemes,
   ProgressBoard board{results,      grid.size(), tasks_per_point, tasks,
                       intervals,    opts.progress, csv.get(),     csv_file.get()};
 
-  std::vector<std::future<void>> futures;
-  futures.reserve(tasks);
-  for (std::size_t s = 0; s < schemes.size(); ++s) {
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      for (std::size_t rep = 0; rep < opts.reps; ++rep) {
-        const std::size_t task_index = (s * grid.size() + i) * opts.reps + rep;
-        futures.push_back(pool.submit([&, s, i, rep, task_index] {
-          net::NetworkConfig config = serialized_config_at(grid[i]);
-          config.seed = sweep_seed(config.seed, schemes[s].name, i, rep);
-          // Engine-selection overrides: purely an execution knob (results
-          // are partition-independent), so applying it after config_at is
-          // safe for any scenario builder.
-          if (opts.shards >= 0) config.shards = static_cast<std::size_t>(opts.shards);
-          if (opts.shard_jobs >= 0) {
-            config.shard_jobs = static_cast<std::size_t>(opts.shard_jobs);
-          }
-          net::Network network{std::move(config), schemes[s].factory};
-
-          // Shared provenance fields of every observability line this task
-          // emits (metrics.jsonl records and streamed snapshots alike).
-          std::string context;
-          if (with_metrics || with_stream) {
-            context = "\"scheme\":" + obs::json_quote(schemes[s].name) +
-                      ",\"x\":" + obs::json_number(grid[i]) +
-                      ",\"x_index\":" + std::to_string(i) +
-                      ",\"rep\":" + std::to_string(rep);
-          }
-
-          obs::MetricsRegistry registry;
-          obs::StringStreamSink stream_sink;
-          if (with_metrics || with_stream) network.attach_metrics(&registry);
-          if (with_stream) registry.stream_to(&stream_sink, opts.stream_every, context);
-          // Protocol tracing needs a single cell; a multi-cell task simply
-          // goes untraced (the trace file stays empty).
-          if (with_trace && task_index == 0 && !network.sharded()) {
-            network.attach_tracer(&trace_capture);
-            network.add_observer([&network](IntervalIndex k, std::span<const int>,
-                                            std::span<const int>) {
-              if (k + 1 >= kTraceCaptureIntervals) network.attach_tracer(nullptr);
-            });
-          }
-
-          const auto wall_start = std::chrono::steady_clock::now();
-          network.run(intervals);
-          const double wall_seconds =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
-                  .count();
-
-          std::vector<double> sample = metric(network);
-          if (sample.size() != metric_names.size()) {
-            throw std::runtime_error{"run_sweeps: metric returned " +
-                                     std::to_string(sample.size()) + " values, expected " +
-                                     std::to_string(metric_names.size())};
-          }
-          results[s].samples[i][rep] = std::move(sample);
-
-          if (with_stream) stream_blocks[task_index] = stream_sink.str();
-          if (with_metrics) {
-            network.attach_metrics(nullptr);
-            obs::collect_network_metrics(registry, network);
-            const TaskProfile profile{network.events_executed(), wall_seconds};
-            results[s].profiles[i][rep] = profile;
-
-            std::ostringstream block;
-            registry.write_jsonl(block, context);
-            metric_blocks[task_index] = std::move(block).str();
-            profile_blocks[task_index] =
-                obs::JsonObject{}
-                    .field("name", "task_profile")
-                    .raw("scheme", obs::json_quote(schemes[s].name))
-                    .field("x", grid[i])
-                    .field("x_index", static_cast<std::uint64_t>(i))
-                    .field("rep", static_cast<std::uint64_t>(rep))
-                    .field("events", profile.events)
-                    .field("wall_seconds", profile.wall_seconds)
-                    .field("events_per_sec", profile.events_per_sec())
-                    .str() +
-                "\n";
-          }
-
-          if (with_csv || opts.progress) {
-            board.task_finished(i, network.events_executed());
-          }
-        }));
+  // One fork-join loop over every task, in (scheme, point, rep) order. A
+  // task's failure is kept in its own slot and every task still runs; the
+  // lowest-index failure is rethrown afterwards, so the error a caller sees
+  // does not depend on the thread schedule.
+  std::vector<std::exception_ptr> errors(tasks);
+  pool.parallel_for(tasks, [&](std::size_t task_index) {
+    const std::size_t rep = task_index % opts.reps;
+    const std::size_t i = task_index / opts.reps % grid.size();
+    const std::size_t s = task_index / opts.reps / grid.size();
+    try {
+      net::NetworkConfig config = serialized_config_at(grid[i]);
+      config.seed = sweep_seed(config.seed, schemes[s].name, i, rep);
+      // Engine-selection overrides: purely an execution knob (results
+      // are partition-independent), so applying it after config_at is
+      // safe for any scenario builder.
+      if (opts.shards >= 0) config.shards = static_cast<std::size_t>(opts.shards);
+      if (opts.shard_jobs >= 0) {
+        config.shard_jobs = static_cast<std::size_t>(opts.shard_jobs);
       }
+      net::Network network{std::move(config), schemes[s].factory};
+
+      // Shared provenance fields of every observability line this task
+      // emits (metrics.jsonl records and streamed snapshots alike).
+      std::string context;
+      if (with_metrics || with_stream) {
+        context = "\"scheme\":" + obs::json_quote(schemes[s].name) +
+                  ",\"x\":" + obs::json_number(grid[i]) +
+                  ",\"x_index\":" + std::to_string(i) +
+                  ",\"rep\":" + std::to_string(rep);
+      }
+
+      obs::MetricsRegistry registry;
+      obs::StringStreamSink stream_sink;
+      if (with_metrics || with_stream) network.attach_metrics(&registry);
+      if (with_stream) registry.stream_to(&stream_sink, opts.stream_every, context);
+      // Protocol tracing needs a single cell; a multi-cell task simply
+      // goes untraced (the trace file stays empty).
+      if (with_trace && task_index == 0 && !network.sharded()) {
+        network.attach_tracer(&trace_capture);
+        network.add_observer([&network](IntervalIndex k, std::span<const int>,
+                                        std::span<const int>) {
+          if (k + 1 >= kTraceCaptureIntervals) network.attach_tracer(nullptr);
+        });
+      }
+
+      const auto wall_start = std::chrono::steady_clock::now();
+      network.run(intervals);
+      const double wall_seconds =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
+
+      std::vector<double> sample = metric(network);
+      if (sample.size() != metric_names.size()) {
+        throw std::runtime_error{"run_sweeps: metric returned " +
+                                 std::to_string(sample.size()) + " values, expected " +
+                                 std::to_string(metric_names.size())};
+      }
+      results[s].samples[i][rep] = std::move(sample);
+
+      if (with_stream) stream_blocks[task_index] = stream_sink.str();
+      if (with_metrics) {
+        network.attach_metrics(nullptr);
+        obs::collect_network_metrics(registry, network);
+        const TaskProfile profile{network.events_executed(), wall_seconds};
+        results[s].profiles[i][rep] = profile;
+
+        std::ostringstream block;
+        registry.write_jsonl(block, context);
+        metric_blocks[task_index] = std::move(block).str();
+        profile_blocks[task_index] =
+            obs::JsonObject{}
+                .field("name", "task_profile")
+                .raw("scheme", obs::json_quote(schemes[s].name))
+                .field("x", grid[i])
+                .field("x_index", static_cast<std::uint64_t>(i))
+                .field("rep", static_cast<std::uint64_t>(rep))
+                .field("events", profile.events)
+                .field("wall_seconds", profile.wall_seconds)
+                .field("events_per_sec", profile.events_per_sec())
+                .str() +
+            "\n";
+      }
+
+      if (with_csv || opts.progress) {
+        board.task_finished(i, network.events_executed());
+      }
+    } catch (...) {
+      errors[task_index] = std::current_exception();
     }
+  });
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
-  pool.wait_all(futures);
-  for (auto& f : futures) f.get();  // surface the first task failure
   if (opts.progress) std::fprintf(stderr, "\n");
 
   if (with_stream) {

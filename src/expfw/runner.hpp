@@ -36,7 +36,9 @@ using MetricFn = std::function<std::vector<double>(const net::Network&)>;
 /// the observability outputs).
 struct SweepOptions {
   std::size_t reps = 1;  ///< independent replications per grid point (>= 1)
-  std::size_t jobs = 0;  ///< worker threads; 0 = all hardware threads
+  /// Pool workers; the calling thread runs tasks beside them, so up to
+  /// jobs + 1 tasks run at once. 0 = one worker per hardware thread.
+  std::size_t jobs = 0;
 
   /// Cell-partitioning override applied to every task's config: -1 leaves
   /// the config's own `shards` untouched, 0 runs every network as one cell,
@@ -141,11 +143,12 @@ struct SweepResult {
 [[nodiscard]] MetricFn group_deficiency_metric(std::vector<std::vector<LinkId>> groups);
 
 /// Runs every scheme at every grid point for `opts.reps` replications of
-/// `intervals` deadline intervals each, fanned across one shared thread
-/// pool. The seed in the config produced by `config_at` is the base seed
-/// of the per-task derivation. Returns one SweepResult per scheme, in
-/// input order. Throws std::invalid_argument on an empty grid/scheme list,
-/// reps == 0, or empty metric names; rethrows any task failure.
+/// `intervals` deadline intervals each, as one parallel_for over all tasks.
+/// The seed in the config produced by `config_at` is the base seed of the
+/// per-task derivation. Returns one SweepResult per scheme, in input order.
+/// Throws std::invalid_argument on an empty grid/scheme list, reps == 0, or
+/// empty metric names. Every task runs even if some fail; then the failure
+/// of the first failing task in (scheme, point, rep) order is rethrown.
 [[nodiscard]] std::vector<SweepResult> run_sweeps(
     const std::vector<SchemeSpec>& schemes, const ConfigAt& config_at,
     const std::vector<double>& grid, IntervalIndex intervals, const MetricFn& metric,

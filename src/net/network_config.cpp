@@ -11,6 +11,8 @@ bool NetworkConfig::validate(std::string* error) const {
     if (error != nullptr) *error = msg;
     return false;
   };
+  // Every floating-point check below is written so that NaN fails it: a
+  // comparison with NaN is false, so each asks for the valid range.
   const std::size_t n = success_prob.size();
   if (n == 0) return fail("network has no links");
   // Sizes first: the arrival checks below index requirements per link.
@@ -21,7 +23,7 @@ bool NetworkConfig::validate(std::string* error) const {
     if (joint_arrivals->num_links() != n) return fail("joint arrivals size != number of links");
     const RateVector joint_mean = joint_arrivals->mean();
     for (std::size_t i = 0; i < n; ++i) {
-      if (std::abs(joint_mean[i] - requirements.lambda[i]) > 1e-9) {
+      if (!(std::abs(joint_mean[i] - requirements.lambda[i]) <= 1e-9)) {
         return fail("declared lambda does not match joint arrival process mean");
       }
     }
@@ -31,7 +33,7 @@ bool NetworkConfig::validate(std::string* error) const {
     if (arrivals.size() != n) return fail("arrivals size != number of links");
   } else if (uniform_arrivals != nullptr) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (std::abs(uniform_arrivals->mean() - requirements.lambda[i]) > 1e-9) {
+      if (!(std::abs(uniform_arrivals->mean() - requirements.lambda[i]) <= 1e-9)) {
         return fail("declared lambda does not match uniform arrival process mean");
       }
     }
@@ -62,16 +64,16 @@ bool NetworkConfig::validate(std::string* error) const {
     return fail("interval shorter than one packet airtime: nothing can ever be delivered");
   }
   for (std::size_t i = 0; i < n; ++i) {
-    if (success_prob[i] <= 0.0 || success_prob[i] > 1.0) {
+    if (!(success_prob[i] > 0.0 && success_prob[i] <= 1.0)) {
       return fail("success probabilities must lie in (0, 1]");
     }
     if (joint_arrivals == nullptr && !arrivals.empty()) {
       if (arrivals[i] == nullptr) return fail("null arrival process");
-      if (std::abs(arrivals[i]->mean() - requirements.lambda[i]) > 1e-9) {
+      if (!(std::abs(arrivals[i]->mean() - requirements.lambda[i]) <= 1e-9)) {
         return fail("declared lambda does not match arrival process mean");
       }
     }
-    if (requirements.rho[i] < 0.0 || requirements.rho[i] > 1.0) {
+    if (!(requirements.rho[i] >= 0.0 && requirements.rho[i] <= 1.0)) {
       return fail("delivery ratios must lie in [0, 1]");
     }
   }

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <exception>
 #include <stdexcept>
-#include <utility>
 
 namespace rtmac {
 
@@ -44,54 +43,22 @@ std::size_t ThreadPool::hardware_threads() {
   return n == 0 ? 1 : n;
 }
 
-void ThreadPool::enqueue(Task task) {
-  {
-    const util::LockGuard lock{mutex_};
-    if (stopping_) {
-      throw std::runtime_error{"ThreadPool: submit on a stopping pool"};
-    }
-    queue_.push_back(std::move(task));
-  }
-  work_available_.notify_one();
-}
-
 void ThreadPool::worker_loop() {
   // Explicit while-loop rather than the predicate form of wait(): the
   // thread-safety analysis cannot see held capabilities inside a predicate
-  // lambda, so the guarded reads of stopping_/queue_/job_ live in this scope.
+  // lambda, so the guarded reads of stopping_/job_ live in this scope.
   util::LockGuard lock{mutex_};
   for (;;) {
-    while (!stopping_ && queue_.empty() && job_ == nullptr) work_available_.wait(lock);
-    if (job_ != nullptr) {
-      // A parallel_for first: its caller is blocked on it.
-      ForJob& job = *job_;
-      ++job.helpers;
-      lock.unlock();
-      work_on(job);
-      lock.lock();
-      if (job_ == &job) job_ = nullptr;  // exhausted: nothing left to claim
-      if (--job.helpers == 0) job_left_.notify_all();
-      continue;
-    }
-    if (queue_.empty()) return;  // stopping_ and drained
-    Task task = std::move(queue_.front());
-    queue_.pop_front();
+    while (!stopping_ && job_ == nullptr) work_available_.wait(lock);
+    if (job_ == nullptr) return;  // stopping_
+    ForJob& job = *job_;
+    ++job.helpers;
     lock.unlock();
-    task();
+    work_on(job);
     lock.lock();
+    if (job_ == &job) job_ = nullptr;  // exhausted: nothing left to claim
+    if (--job.helpers == 0) job_left_.notify_all();
   }
-}
-
-bool ThreadPool::run_one() {
-  Task task;
-  {
-    const util::LockGuard lock{mutex_};
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
-  }
-  task();
-  return true;
 }
 
 void ThreadPool::run_for(std::size_t n, void (*call)(const void*, std::size_t),
@@ -125,17 +92,6 @@ void ThreadPool::work_on(ForJob& job) {
       const util::LockGuard lock{mutex_};
       if (!job.error) job.error = std::current_exception();
     }
-  }
-}
-
-void ThreadPool::wait_until(const std::function<bool()>& ready) {
-  while (!ready()) {
-    if (run_one()) continue;
-    // Queue momentarily empty but the awaited work is running on other
-    // threads. There is no per-completion signal to wait on (tasks are
-    // opaque), so poll with a short sleep; sweep tasks run for
-    // milliseconds, making the overhead invisible.
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
   }
 }
 

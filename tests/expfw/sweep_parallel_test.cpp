@@ -7,10 +7,12 @@
 //  - argument validation survives NDEBUG (real exceptions, not asserts).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "expfw/report.hpp"
 #include "expfw/runner.hpp"
@@ -139,6 +141,34 @@ TEST(SweepValidationTest, MetricArityMismatchSurfacesFromWorkers) {
   EXPECT_THROW((void)run_sweep("LDF", ldf_factory(), config_at, {0.4}, 1,
                                total_deficiency_metric(), {"a", "b"}),
                std::runtime_error);
+}
+
+TEST(SweepValidationTest, LowestIndexFailureSurfacesAtEveryJobCount) {
+  // Tasks 3 = (LDF, 0.55, rep 1) and 10 = (FCSMA, 0.7, rep 0) fail. Task 3
+  // waits before throwing, so task 10 usually fails first in time; the
+  // sweep must still report task 3, whatever the schedule.
+  constexpr std::uint64_t kBase = 42;
+  const std::vector<double> grid = {0.4, 0.55, 0.7};
+  const std::uint64_t seed3 = sweep_seed(kBase, "LDF", 1, 1);
+  const std::uint64_t seed10 = sweep_seed(kBase, "FCSMA", 2, 0);
+  const MetricFn metric = [seed3, seed10](const net::Network& network) {
+    if (network.config().seed == seed3) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      throw std::runtime_error{"task 3"};
+    }
+    if (network.config().seed == seed10) throw std::runtime_error{"task 10"};
+    return std::vector<double>{0.0};
+  };
+  for (const std::size_t jobs : {1UL, 2UL, 4UL, 8UL}) {
+    try {
+      (void)run_sweeps({{"LDF", ldf_factory()}, {"FCSMA", fcsma_factory()}},
+                       [](double a) { return video_symmetric(a, 0.9, kBase); }, grid,
+                       /*intervals=*/3, metric, {"m"}, sweep_options(2, jobs));
+      ADD_FAILURE() << "no failure surfaced at jobs=" << jobs;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "task 3") << "jobs=" << jobs;
+    }
+  }
 }
 
 TEST(SweepValidationTest, ReportRejectsMismatchedGrids) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -42,6 +43,30 @@ TEST(NetworkConfigTest, RejectsBadProbability) {
   cfg.success_prob[2] = 0.0;
   EXPECT_FALSE(cfg.validate());
   cfg.success_prob[2] = 1.5;
+  EXPECT_FALSE(cfg.validate());
+}
+
+// NaN fails every ordered comparison, so each range check must ask for the
+// valid range rather than test for the invalid one.
+TEST(NetworkConfigTest, RejectsNanProbability) {
+  auto cfg = small_config();
+  cfg.success_prob[1] = std::numeric_limits<double>::quiet_NaN();
+  std::string error;
+  EXPECT_FALSE(cfg.validate(&error));
+  EXPECT_EQ(error, "success probabilities must lie in (0, 1]");
+}
+
+TEST(NetworkConfigTest, RejectsNanDeliveryRatio) {
+  auto cfg = small_config();
+  cfg.requirements.rho[1] = std::numeric_limits<double>::quiet_NaN();
+  std::string error;
+  EXPECT_FALSE(cfg.validate(&error));
+  EXPECT_EQ(error, "delivery ratios must lie in [0, 1]");
+}
+
+TEST(NetworkConfigTest, RejectsNanLambda) {
+  auto cfg = small_config();
+  cfg.requirements.lambda[1] = std::numeric_limits<double>::quiet_NaN();
   EXPECT_FALSE(cfg.validate());
 }
 

@@ -332,7 +332,9 @@ TEST(SketchTest, UpdatePathIsAllocationFree) {
 }
 
 // Every statistic the registry exports for a sketch, in export order plus
-// the retained count, through the JSONL number formatter.
+// the retained count, through the JSONL number formatter. Though `s` is
+// const, the quantile reads reorder its retained samples in place (see
+// QuantileSketch), so no other read of `s` may overlap this call.
 std::string pinned_export(const QuantileSketch& s) {
   std::ostringstream out;
   out << json_number(s.count()) << ',' << json_number(s.sum()) << ','

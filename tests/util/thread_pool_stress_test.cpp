@@ -1,8 +1,8 @@
-// Stress tests for the help-executing ThreadPool. This is the suite the TSan
-// CI lane runs hot: every test hammers the submit/wait and parallel_for
-// paths from multiple threads at once so data races in the queue, the
-// nested-wait help loop, the fork-join job slot, or the shutdown path
-// surface as sanitizer reports rather than rare flakes.
+// Stress tests for ThreadPool::parallel_for. This is the suite the TSan CI
+// lane runs hot: every test hammers the fork-join loop from multiple threads
+// at once, with pools created and destroyed in a cycle, so data races in the
+// job slot, the index counter, the helper count or the shutdown path surface
+// as sanitizer reports rather than rare flakes.
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -10,7 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <future>
+#include <exception>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -43,12 +43,7 @@ TEST(ThreadPoolStress, ManyPoolsManyTasksMatchSerialReference) {
     for (int round = 0; round < 3; ++round) {
       ThreadPool pool(threads);
       std::vector<std::uint64_t> results(kTasks, 0);
-      std::vector<std::future<void>> futures;
-      futures.reserve(kTasks);
-      for (std::size_t i = 0; i < kTasks; ++i) {
-        futures.push_back(pool.submit([i, &results] { results[i] = burn(i); }));
-      }
-      pool.wait_all(futures);
+      pool.parallel_for(kTasks, [&results](std::size_t i) { results[i] = burn(i); });
       EXPECT_EQ(results, reference) << "threads=" << threads << " round=" << round;
     }
   }
@@ -74,127 +69,43 @@ TEST(ThreadPoolStress, SweepSeedsAreScheduleIndependent) {
     }
   }
 
+  // The sweep engine's decoding: slot = (scheme * kXs + x) * kReps + rep.
   ThreadPool pool(4);
   std::vector<std::uint64_t> parallel(serial.size(), 0);
-  std::vector<std::future<void>> futures;
-  futures.reserve(serial.size());
-  std::size_t slot = 0;
-  for (const auto& scheme : schemes) {
-    for (std::size_t x = 0; x < kXs; ++x) {
-      for (std::size_t rep = 0; rep < kReps; ++rep) {
-        futures.push_back(pool.submit([&parallel, slot, &scheme, x, rep] {
-          parallel[slot] = expfw::sweep_seed(kBase, scheme, x, rep);
-        }));
-        ++slot;
-      }
-    }
-  }
-  pool.wait_all(futures);
+  pool.parallel_for(parallel.size(), [&](std::size_t slot) {
+    const std::size_t rep = slot % kReps;
+    const std::size_t x = slot / kReps % kXs;
+    const std::string& scheme = schemes[slot / kReps / kXs];
+    parallel[slot] = expfw::sweep_seed(kBase, scheme, x, rep);
+  });
   EXPECT_EQ(parallel, serial);
 }
 
-TEST(ThreadPoolStress, NestedSubmitAndWaitFromPoolThreadsDoesNotDeadlock) {
-  // Tasks that themselves fan out and wait — the shape the figure sweeps use
-  // (scheme task -> per-rep subtasks). With help-execution this must complete
-  // even when every worker is blocked inside a nested wait_all.
-  for (std::size_t threads : {1u, 2u, 4u}) {
-    ThreadPool pool(threads);
-    constexpr std::size_t kOuter = 12;
-    constexpr std::size_t kInner = 24;
-    std::vector<std::future<std::uint64_t>> outer;
-    outer.reserve(kOuter);
-    for (std::size_t o = 0; o < kOuter; ++o) {
-      outer.push_back(pool.submit([o, &pool] {
-        std::vector<std::future<std::uint64_t>> inner;
-        inner.reserve(kInner);
-        for (std::size_t i = 0; i < kInner; ++i) {
-          inner.push_back(pool.submit([o, i] { return burn(o * 1000 + i); }));
-        }
-        pool.wait_all(inner);
-        std::uint64_t acc = 0;
-        for (auto& f : inner) acc ^= f.get();
-        return acc;
-      }));
-    }
-    pool.wait_all(outer);
-    for (std::size_t o = 0; o < kOuter; ++o) {
-      std::uint64_t expected = 0;
-      for (std::size_t i = 0; i < kInner; ++i) expected ^= burn(o * 1000 + i);
-      EXPECT_EQ(outer[o].get(), expected) << "threads=" << threads << " o=" << o;
-    }
-  }
-}
-
 TEST(ThreadPoolStress, ExceptionsPropagateUnderContention) {
+  // The sweep engine's error pattern: each body catches into its own slot,
+  // so every index runs and every failure is kept, whatever the schedule.
   ThreadPool pool(4);
   constexpr std::size_t kTasks = 200;
-  std::vector<std::future<std::uint64_t>> futures;
-  futures.reserve(kTasks);
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    futures.push_back(pool.submit([i]() -> std::uint64_t {
+  std::vector<std::uint64_t> results(kTasks, 0);
+  std::vector<std::exception_ptr> errors(kTasks);
+  pool.parallel_for(kTasks, [&](std::size_t i) {
+    try {
       if (i % 7 == 3) throw std::runtime_error("task " + std::to_string(i));
-      return burn(i);
-    }));
-  }
-  pool.wait_all(futures);
+      results[i] = burn(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  });
   for (std::size_t i = 0; i < kTasks; ++i) {
     if (i % 7 == 3) {
-      EXPECT_THROW(futures[i].get(), std::runtime_error) << i;
+      ASSERT_TRUE(errors[i]) << i;
+      EXPECT_THROW(std::rethrow_exception(errors[i]), std::runtime_error) << i;
     } else {
-      EXPECT_EQ(futures[i].get(), burn(i)) << i;
+      EXPECT_FALSE(errors[i]) << i;
+      EXPECT_EQ(results[i], burn(i)) << i;
     }
   }
 }
-
-TEST(ThreadPoolStress, DestructorDrainsEverySubmittedTask) {
-  // The destructor contract: every task already submitted runs before join.
-  // Submit from several external threads racing the pool's destruction.
-  constexpr std::size_t kSubmitters = 4;
-  constexpr std::size_t kPerSubmitter = 64;
-  std::atomic<std::uint64_t> executed{0};
-  {
-    ThreadPool pool(2);
-    std::vector<std::thread> submitters;
-    submitters.reserve(kSubmitters);
-    for (std::size_t s = 0; s < kSubmitters; ++s) {
-      submitters.emplace_back([&pool, &executed] {
-        for (std::size_t i = 0; i < kPerSubmitter; ++i) {
-          pool.submit([&executed, i] {
-            burn(i);
-            executed.fetch_add(1, std::memory_order_relaxed);
-          });
-        }
-      });
-    }
-    for (auto& t : submitters) t.join();
-    // Pool destructor runs here and must drain the queue.
-  }
-  EXPECT_EQ(executed.load(), kSubmitters * kPerSubmitter);
-}
-
-TEST(ThreadPoolStress, WaitUntilHelpsFromManyThreadsAtOnce) {
-  // Several external threads all help-execute against one pool while it is
-  // also running its own workers — the maximum-contention shape for run_one().
-  ThreadPool pool(2);
-  constexpr std::size_t kTasks = 512;
-  std::atomic<std::size_t> done{0};
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    pool.submit([&done, i] {
-      burn(i);
-      done.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  std::vector<std::thread> helpers;
-  for (std::size_t h = 0; h < 3; ++h) {
-    helpers.emplace_back(
-        [&pool, &done] { pool.wait_until([&done] { return done.load() == kTasks; }); });
-  }
-  pool.wait_until([&done] { return done.load() == kTasks; });
-  for (auto& t : helpers) t.join();
-  EXPECT_EQ(done.load(), kTasks);
-}
-
-// ---- parallel_for -----------------------------------------------------------
 
 TEST(ThreadPoolTest, ParallelForRunsEveryIndexExactlyOnce) {
   for (const std::size_t workers : {1UL, 3UL}) {
@@ -246,20 +157,13 @@ TEST(ThreadPoolTest, ParallelForRethrowsTheFirstExceptionAfterEveryHelperReturns
 }
 
 TEST(ThreadPoolTest, ParallelForFromInsideATaskOnOneWorkerDoesNotDeadlock) {
-  // The only worker is busy running the task that calls parallel_for, so
-  // the calling task must run every index itself, nested loop included.
+  // Every thread of the pool is inside the outer loop, so each nested loop
+  // finds a loop open and runs every index on its own caller.
   ThreadPool pool{1};
-  auto result = pool.submit([&pool] {
-    std::vector<std::uint64_t> out(64, 0);
-    pool.parallel_for(8, [&pool, &out](std::size_t o) {
-      pool.parallel_for(8, [&out, o](std::size_t i) { out[o * 8 + i] = burn(o * 8 + i); });
-    });
-    return out;
+  std::vector<std::uint64_t> out(64, 0);
+  pool.parallel_for(8, [&pool, &out](std::size_t o) {
+    pool.parallel_for(8, [&out, o](std::size_t i) { out[o * 8 + i] = burn(o * 8 + i); });
   });
-  std::vector<std::future<std::vector<std::uint64_t>>> futures;
-  futures.push_back(std::move(result));
-  pool.wait_all(futures);
-  const std::vector<std::uint64_t> out = futures.front().get();
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], burn(i)) << i;
 }
 

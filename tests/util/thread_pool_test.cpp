@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <numeric>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <set>
 #include <stdexcept>
-#include <vector>
+#include <thread>
 
 namespace rtmac {
 namespace {
@@ -20,74 +22,30 @@ TEST(ThreadPoolTest, ReportsSizeAndHardwareFloor) {
   EXPECT_GE(ThreadPool::hardware_threads(), 1u);
 }
 
-TEST(ThreadPoolTest, SubmitReturnsTaskResults) {
-  ThreadPool pool{4};
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.submit([i] { return i * i; }));
+TEST(ThreadPoolTest, ParallelForRunsOnEveryWorkerAndTheCaller) {
+  // A pool of w workers runs w + 1 bodies at once: the caller takes indices
+  // beside the workers. Each body waits until all w + 1 have started, which
+  // only w + 1 distinct threads can bring about.
+  for (const std::size_t workers : {1UL, 3UL}) {
+    ThreadPool pool{workers};
+    const std::size_t n = workers + 1;
+    std::mutex mutex;
+    std::condition_variable all_in;
+    std::set<std::thread::id> threads;
+    bool timed_out = false;
+    pool.parallel_for(n, [&](std::size_t) {
+      std::unique_lock lock{mutex};
+      threads.insert(std::this_thread::get_id());
+      all_in.notify_all();
+      if (!all_in.wait_for(lock, std::chrono::seconds(30),
+                           [&] { return threads.size() == n; })) {
+        timed_out = true;
+      }
+    });
+    EXPECT_FALSE(timed_out) << "workers=" << workers;
+    EXPECT_EQ(threads.size(), n) << "workers=" << workers;
+    EXPECT_EQ(threads.count(std::this_thread::get_id()), 1U) << "workers=" << workers;
   }
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
-  }
-}
-
-TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool{2};
-    for (int i = 0; i < 100; ++i) {
-      (void)pool.submit([&ran] { ran.fetch_add(1); });
-    }
-  }
-  EXPECT_EQ(ran.load(), 100);
-}
-
-TEST(ThreadPoolTest, ExceptionsPropagateThroughFutures) {
-  ThreadPool pool{2};
-  auto ok = pool.submit([] { return 7; });
-  auto bad = pool.submit([]() -> int { throw std::runtime_error{"boom"}; });
-  EXPECT_EQ(ok.get(), 7);
-  EXPECT_THROW(bad.get(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, NestedWaitDoesNotDeadlockOnSingleThread) {
-  // A task that fans out subtasks and waits for them must not deadlock
-  // even when it occupies the pool's only worker: wait_all lends the
-  // blocked thread back to the queue.
-  ThreadPool pool{1};
-  auto outer = pool.submit([&pool] {
-    std::vector<std::future<int>> inner;
-    for (int i = 0; i < 8; ++i) inner.push_back(pool.submit([i] { return i; }));
-    pool.wait_all(inner);
-    int sum = 0;
-    for (auto& f : inner) sum += f.get();
-    return sum;
-  });
-  EXPECT_EQ(outer.get(), 28);
-}
-
-TEST(ThreadPoolTest, WaitAllFromOwnerThreadHelpsExecute) {
-  ThreadPool pool{1};
-  std::atomic<int> ran{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 256; ++i) {
-    futures.push_back(pool.submit([&ran] { ran.fetch_add(1); }));
-  }
-  pool.wait_all(futures);
-  EXPECT_EQ(ran.load(), 256);
-  for (auto& f : futures) f.get();  // none may hold an exception
-}
-
-TEST(ThreadPoolTest, ManyConcurrentSubmittersStress) {
-  ThreadPool pool{4};
-  std::atomic<long> total{0};
-  std::vector<std::future<void>> futures;
-  futures.reserve(1000);
-  for (int i = 0; i < 1000; ++i) {
-    futures.push_back(pool.submit([&total, i] { total.fetch_add(i); }));
-  }
-  pool.wait_all(futures);
-  EXPECT_EQ(total.load(), 999L * 1000 / 2);
 }
 
 }  // namespace
