@@ -8,8 +8,8 @@
 //
 // Phase 2 — speedup: a disconnected_cells_topology at 10^4 links
 // (625 cells of 16; smoke: 2048 links), timed as one cell over every link
-// (--shards 0) and as 625 cells packed into 4 groups. Identical shape to
-// BENCH_8's phase 2, so the 4-group events/sec gates directly against that
+// (--shards 0) and as 625 cells run 4 wide (--shards 4). Identical shape to
+// BENCH_8's phase 2, so the 4-shard events/sec gates directly against that
 // baseline
 // (the arrival kernel + arena SoA + clique fast paths must at least double
 // it on one core).
@@ -93,8 +93,8 @@ Timing run_city(std::size_t cells, std::uint64_t cfg_seed, IntervalIndex interva
   auto cfg = expfw::with_sparse_topology(
       control_config(cells * kLinksPerCell, cfg_seed),
       expfw::city_unit_disk_topology(cells, kLinksPerCell, /*seed=*/1889));
-  // One cell per cluster, packed into min(shards, cells) = `cells` groups
-  // (12500 at full scale); shard_jobs caps the worker threads, not groups.
+  // One cell per cluster (12500 at full scale), chunked onto the shard
+  // pool; shard_jobs sets the worker threads, so the chunk count.
   cfg.shards = cells;
   cfg.shard_jobs = shard_jobs;
   return run_once(std::move(cfg), intervals);
@@ -127,19 +127,19 @@ int main(int argc, char** argv) {
             << " unit-disk clusters, DCF, " << args.intervals << " intervals\n";
   const Timing city = run_city(city_cells, 90210, args.intervals, jobs);
   const long city_rss_kb = util::peak_rss_kb();
-  std::cout << "  " << city.cells << " cells, " << city.groups << " groups: "
+  std::cout << "  " << city.cells << " cells, " << city.groups << " shards: "
             << city.events << " events in " << city.wall_seconds << " s = "
             << static_cast<std::uint64_t>(city.events_per_sec())
             << " events/s, peak RSS " << city_rss_kb << " KB\n";
 
-  // ---- Phase 2: one cell vs 4 groups on the same topology -----------------
+  // ---- Phase 2: one cell vs 4 shards on the same topology -----------------
   // JSON keys keep their historical names: "legacy" is the one-cell run,
-  // "sharded" the 4-group run.
+  // "sharded" the 4-shard run.
   const std::size_t speedup_links = args.smoke ? 2048 : 10000;
   constexpr std::size_t kSpeedupCellSize = 16;
   const IntervalIndex speedup_intervals = args.intervals;
   std::cout << "Speedup: " << speedup_links << " links in cells of "
-            << kSpeedupCellSize << ", one cell vs 4 groups\n";
+            << kSpeedupCellSize << ", one cell vs 4 shards\n";
 
   const auto speedup_config = [&](std::size_t shards) {
     auto cfg = expfw::with_sparse_topology(
@@ -149,20 +149,20 @@ int main(int argc, char** argv) {
     return cfg;
   };
   const Timing one_cell = run_once(speedup_config(0), speedup_intervals);
-  const Timing grouped = run_once(speedup_config(4), speedup_intervals);
+  const Timing sharded = run_once(speedup_config(4), speedup_intervals);
   const double ratio = one_cell.events_per_sec() > 0.0
-                           ? grouped.events_per_sec() / one_cell.events_per_sec()
+                           ? sharded.events_per_sec() / one_cell.events_per_sec()
                            : 0.0;
   std::cout << "  one cell: " << static_cast<std::uint64_t>(one_cell.events_per_sec())
             << " events/s\n"
-            << "  4 groups: " << static_cast<std::uint64_t>(grouped.events_per_sec())
-            << " events/s (" << grouped.cells << " cells, "
-            << grouped.events_per_sec() / kBench8ShardedEventsPerSec
+            << "  4 shards: " << static_cast<std::uint64_t>(sharded.events_per_sec())
+            << " events/s (" << sharded.cells << " cells, "
+            << sharded.events_per_sec() / kBench8ShardedEventsPerSec
             << "x BENCH_8)\n"
             << "  speedup:  " << ratio << "x\n";
-  if (one_cell.delivered != grouped.delivered) {
-    std::cout << "FAIL: one cell and 4 groups disagree on delivered packets ("
-              << one_cell.delivered << " vs " << grouped.delivered << ")\n";
+  if (one_cell.delivered != sharded.delivered) {
+    std::cout << "FAIL: one cell and 4 shards disagree on delivered packets ("
+              << one_cell.delivered << " vs " << sharded.delivered << ")\n";
     return 1;
   }
 
@@ -244,7 +244,7 @@ int main(int argc, char** argv) {
   json << ",\n \"city_peak_rss_kb\":" << city_rss_kb << ",\n \"speedup\":{\"legacy\":";
   write_timing(json, one_cell, speedup_intervals, speedup_links);
   json << ",\"sharded\":";
-  write_timing(json, grouped, speedup_intervals, speedup_links);
+  write_timing(json, sharded, speedup_intervals, speedup_links);
   json << ",\"events_per_sec_ratio\":" << ratio
        << ",\"bench8_sharded_events_per_sec\":" << kBench8ShardedEventsPerSec << "}";
   json << ",\n \"adaptive_lookahead\":{\"fixed\":";
@@ -261,12 +261,12 @@ int main(int argc, char** argv) {
   std::cout << "wrote " << json_path << "\n";
 
   if (!args.smoke && ratio < 2.0) {
-    std::cout << "FAIL: 4-group events/sec below 2x the one-cell run\n";
+    std::cout << "FAIL: 4-shard events/sec below 2x the one-cell run\n";
     failed = true;
   }
   if (!args.smoke &&
-      grouped.events_per_sec() < 2.0 * kBench8ShardedEventsPerSec) {
-    std::cout << "FAIL: phase-2 4-group events/sec below 2x the BENCH_8 baseline\n";
+      sharded.events_per_sec() < 2.0 * kBench8ShardedEventsPerSec) {
+    std::cout << "FAIL: phase-2 4-shard events/sec below 2x the BENCH_8 baseline\n";
     failed = true;
   }
   return failed ? 1 : 0;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "util/args.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rtmac::expfw {
 
@@ -81,21 +82,24 @@ BenchArgs parse_bench_args(int argc, const char* const* argv,
       std::cerr << "--reps must be >= 1\n";
       std::exit(2);
     }
-    if (jobs < 0) {
-      std::cerr << "--jobs must be >= 0 (0 = all cores)\n";
+    // Worker counts are bounded before any pool exists.
+    constexpr auto kMaxJobs = static_cast<std::int64_t>(ThreadPool::kMaxThreads);
+    if (jobs < 0 || jobs > kMaxJobs) {
+      std::cerr << "--jobs must be in [0, " << kMaxJobs << "] (0 = all cores)\n";
       std::exit(2);
     }
     out.sweep.reps = static_cast<std::size_t>(reps);
     out.sweep.jobs = static_cast<std::size_t>(jobs);
     const std::int64_t shards = args.get("shards", std::int64_t{-1});
     const std::int64_t shard_jobs = args.get("shard-jobs", std::int64_t{-1});
-    // Both land in an int: a larger value would wrap instead of failing.
+    // --shards lands in an int: a larger value would wrap instead of failing.
     if (args.has("shards") && (shards < 0 || shards > INT_MAX)) {
       std::cerr << "--shards must be in [0, INT_MAX] (0 = one cell, no partitioning)\n";
       std::exit(2);
     }
-    if (args.has("shard-jobs") && (shard_jobs < 0 || shard_jobs > INT_MAX)) {
-      std::cerr << "--shard-jobs must be in [0, INT_MAX] (0 = one per core beyond the caller's)\n";
+    if (args.has("shard-jobs") && (shard_jobs < 0 || shard_jobs > kMaxJobs)) {
+      std::cerr << "--shard-jobs must be in [0, " << kMaxJobs
+                << "] (0 = one per core beyond the caller's)\n";
       std::exit(2);
     }
     out.sweep.shards = static_cast<int>(shards);

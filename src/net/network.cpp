@@ -230,26 +230,6 @@ sim::ShardPlan plan_cells(const NetworkConfig& config) {
                                  config.sparse_topology->sense, config.shards);
 }
 
-/// Cuts `plan.groups` (count <= groups) into `count` contiguous chunks of
-/// about equal link count, each listing its groups' cells. O(cells).
-std::vector<std::vector<std::uint32_t>> chunk_groups(const sim::ShardPlan& plan,
-                                                     std::size_t count) {
-  std::vector<std::vector<std::uint32_t>> chunks(count);
-  std::size_t g = 0;
-  std::size_t taken = 0;  // links in chunks so far
-  for (std::size_t w = 0; w < count; ++w) {
-    // Fill chunk w to its share of the links, leaving a group per later chunk.
-    while (g + (count - w) <= plan.groups.size() &&
-           (chunks[w].empty() || taken < plan.num_links() * (w + 1) / count)) {
-      for (const std::uint32_t c : plan.groups[g++]) {
-        chunks[w].push_back(c);
-        taken += plan.cells[c].size();
-      }
-    }
-  }
-  return chunks;
-}
-
 }  // namespace
 
 Network::Network(NetworkConfig config, const mac::SchemeFactory& scheme_factory)
@@ -416,16 +396,16 @@ void Network::build_cells(const mac::SchemeFactory& scheme_factory) {
     cells_.push_back(std::move(cell));
   }
 
-  // Pool workers run chunks beside the calling thread (see shard_jobs). A
-  // single group runs serially; skip the hardware query (a syscall that
-  // would dominate a small network's construction).
-  if (plan_.groups.size() > 1 && config_.shard_jobs != 1) {
+  // Pool workers run chunks beside the calling thread (see shard_jobs). One
+  // group (shards 1, or one cell) runs serially; skip the hardware query (a
+  // syscall that would dominate a small network's construction).
+  if (group_count() > 1 && config_.shard_jobs != 1) {
     const std::size_t requested =
         config_.shard_jobs != 0 ? config_.shard_jobs : ThreadPool::hardware_threads() - 1;
-    const std::size_t workers = std::min(requested, plan_.groups.size() - 1);
+    const std::size_t workers = std::min(requested, group_count() - 1);
     if (workers > 0) pool_ = std::make_unique<ThreadPool>(workers);
   }
-  chunks_ = chunk_groups(plan_, pool_ != nullptr ? pool_->size() + 1 : 1);
+  chunks_ = sim::chunk_bounds(plan_, pool_ != nullptr ? pool_->size() + 1 : 1);
 
   if (has_cuts) {
     // Cells coupled by ANY cut relation bound each other's windows. Sense
@@ -544,14 +524,7 @@ void Network::run(IntervalIndex intervals) {
 
 template <typename Step>
 void Network::in_chunks(const Step& step) {
-  const auto run_chunk = [&](std::size_t w) {
-    for (const std::uint32_t ci : chunks_[w]) step(*cells_[ci]);
-  };
-  if (pool_ != nullptr) {
-    pool_->parallel_for(chunks_.size(), run_chunk);
-  } else {
-    run_chunk(0);
-  }
+  sim::for_each_chunked(pool_.get(), chunks_, [&](std::size_t c) { step(*cells_[c]); });
 }
 
 void Network::run_cells(IntervalIndex k, TimePoint start, TimePoint end) {
@@ -657,7 +630,6 @@ std::uint64_t Network::event_reallocs() const {
 }
 
 phy::MediumCounters Network::medium_counters() const {
-  if (cell_count() == 1) return cells_.front()->medium->counters();
   phy::MediumCounters out;
   for (const auto& cell : cells_) {
     const phy::MediumCounters& c = cell->medium->counters();

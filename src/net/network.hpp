@@ -20,6 +20,7 @@
 // worker count.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <span>
@@ -103,8 +104,10 @@ class Network {
   /// True when the network runs on more than one cell.
   [[nodiscard]] bool sharded() const { return cell_count() > 1; }
   [[nodiscard]] std::size_t cell_count() const { return cells_.size(); }
-  /// Number of parallel groups the cells are packed into.
-  [[nodiscard]] std::size_t group_count() const { return plan_.groups.size(); }
+  /// Parallel width: min(max(shards, 1), cells); the pool caps at one less.
+  [[nodiscard]] std::size_t group_count() const {
+    return std::min(std::max<std::size_t>(config_.shards, 1), cell_count());
+  }
   /// Global link ids of one cell, ascending.
   [[nodiscard]] std::span<const LinkId> cell_links(std::size_t cell) const;
   /// The MacScheme instance serving one cell.
@@ -170,9 +173,9 @@ class Network {
   class CutState;
 
   void build_cells(const mac::SchemeFactory& scheme_factory);
-  /// Runs `step(cell)` for every cell, one fork-join over chunks_ (serial
-  /// without a pool). A step may touch only its own cell's state and the
-  /// per-link slots of the cell's links.
+  /// Runs `step(cell)` for every cell through sim::for_each_chunked over
+  /// chunks_ (serial without a pool). A step may touch only its own cell's
+  /// state and the per-link slots of the cell's links.
   template <typename Step>
   void in_chunks(const Step& step);
   void run_cells(IntervalIndex k, TimePoint start, TimePoint end);
@@ -192,9 +195,9 @@ class Network {
   std::unique_ptr<CutState> cut_;  ///< cross-cell resolver; outlives the cells
   std::vector<std::unique_ptr<Cell>> cells_;
   std::unique_ptr<ThreadPool> pool_;  ///< null = one chunk, run serially
-  /// Cell indices per parallel chunk: plan_.groups cut into pool size + 1
-  /// contiguous runs of about equal link count (DESIGN §4i).
-  std::vector<std::vector<std::uint32_t>> chunks_;
+  /// sim::chunk_bounds offsets for pool size + 1 chunks (DESIGN §4i); the
+  /// coordinator borrows them.
+  std::vector<std::size_t> chunks_;
   std::unique_ptr<sim::ShardCoordinator> coordinator_;  ///< null = cut-free plan
   std::vector<IntervalObserver> observers_;
   sim::Tracer* tracer_ = nullptr;

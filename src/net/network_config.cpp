@@ -4,6 +4,8 @@
 #include <cmath>
 #include <string>
 
+#include "util/thread_pool.hpp"
+
 namespace rtmac::net {
 
 bool NetworkConfig::validate(std::string* error) const {
@@ -52,6 +54,9 @@ bool NetworkConfig::validate(std::string* error) const {
         }
       }
     }
+  }
+  if (shard_jobs > ThreadPool::kMaxThreads) {
+    return fail("shard_jobs exceeds ThreadPool::kMaxThreads");
   }
   if (shards > 0 && channel_factory != nullptr) {
     return fail("sharded execution requires the default Bernoulli channel");

@@ -54,14 +54,15 @@ struct NetworkConfig {
   std::shared_ptr<const phy::SparseTopology> sparse_topology;
   /// Cell partitioning: 0 = one cell over every link, no partitioning;
   /// S >= 1 partitions the conflict graph of an explicit topology into cells
-  /// and runs them on up to S parallel groups (deterministically — results
-  /// are independent of S and of shard_jobs). S >= 1 requires the default
+  /// and runs them min(S, cells) wide (deterministically — results are
+  /// independent of S and of shard_jobs). S >= 1 requires the default
   /// Bernoulli channel.
   std::size_t shards = 0;
   /// Pool workers running shard chunks beside the calling thread, which
   /// runs one chunk too: 0 = one per hardware thread beyond the caller's
   /// (none on a 1-CPU host), 1 = serial on the calling thread, N >= 2 = N
-  /// workers. Capped at groups - 1.
+  /// workers. Capped at Network::group_count() - 1; at most
+  /// ThreadPool::kMaxThreads.
   std::size_t shard_jobs = 0;
   /// Adaptive coordinator lookahead: cut windows extend to each neighbor
   /// cell's next pending event instead of its bare clock, skipping barrier

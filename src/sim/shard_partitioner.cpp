@@ -278,32 +278,6 @@ ShardPlan partition_topology(const AdjacencyLists& conflict, const AdjacencyList
                           plan.cut_senses.end());
   }
 
-  // Greedy balanced grouping: cells descending by link count (ties toward
-  // the lower cell index) onto the least-loaded group (ties toward the
-  // lower group index), picked from a min-heap of (load, group) so the cost
-  // is O(cells log groups) even with one group per cell.
-  const std::size_t num_groups = std::min(target_shards, plan.cells.size());
-  plan.groups.assign(num_groups, {});
-  if (num_groups > 0) {
-    std::vector<std::uint32_t> by_size(plan.cells.size());
-    for (std::uint32_t c = 0; c < by_size.size(); ++c) by_size[c] = c;
-    std::sort(by_size.begin(), by_size.end(), [&](std::uint32_t x, std::uint32_t y) {
-      const std::size_t sx = plan.cells[x].size();
-      const std::size_t sy = plan.cells[y].size();
-      return sx != sy ? sx > sy : x < y;
-    });
-    using Load = std::pair<std::size_t, std::size_t>;  // (links, group)
-    const auto heavier = [](const Load& x, const Load& y) { return x > y; };
-    std::priority_queue<Load, std::vector<Load>, decltype(heavier)> least_loaded{heavier};
-    for (std::size_t g = 0; g < num_groups; ++g) least_loaded.emplace(0, g);
-    for (std::uint32_t c : by_size) {
-      const auto [load, g] = least_loaded.top();
-      least_loaded.pop();
-      plan.groups[g].push_back(c);
-      least_loaded.emplace(load + plan.cells[c].size(), g);
-    }
-    for (auto& group : plan.groups) std::sort(group.begin(), group.end());
-  }
   return plan;
 }
 
@@ -312,8 +286,25 @@ ShardPlan single_cell_plan(std::size_t num_links) {
   plan.cell_of.assign(num_links, 0);
   plan.cells.emplace_back(num_links);
   std::iota(plan.cells[0].begin(), plan.cells[0].end(), LinkId{0});
-  plan.groups = {{0}};
   return plan;
+}
+
+std::vector<std::size_t> chunk_bounds(const ShardPlan& plan, std::size_t count) {
+  RTMAC_REQUIRE(count >= 1, "chunk count must be >= 1");
+  const std::size_t cells = plan.cells.size();
+  count = std::min(count, cells);
+  std::vector<std::size_t> bounds(count + 1, 0);
+  std::size_t c = 0;
+  std::size_t taken = 0;  // links in chunks so far
+  for (std::size_t w = 0; w < count; ++w) {
+    // Fill chunk w to its share of the links, leaving a cell per later chunk.
+    while (c + (count - w) <= cells &&
+           (c == bounds[w] || taken < plan.num_links() * (w + 1) / count)) {
+      taken += plan.cells[c++].size();
+    }
+    bounds[w + 1] = c;
+  }
+  return bounds;
 }
 
 }  // namespace rtmac::sim

@@ -12,7 +12,7 @@
 //
 // Determinism is load-bearing: the whole algorithm is integer arithmetic
 // over sorted adjacency lists (BFS visits neighbors in ascending id order,
-// ties in the grouping heuristic break toward lower indices), so the same
+// ties between equal cells break toward lower indices), so the same
 // topology yields the same plan on every platform, run, and thread count.
 #pragma once
 
@@ -42,8 +42,8 @@ struct CutSense {
   friend bool operator==(const CutSense&, const CutSense&) = default;
 };
 
-/// The sharding plan: a partition of the link set into cells, a balanced
-/// assignment of cells to parallel groups, and the explicit cut sets.
+/// The sharding plan: a partition of the link set into cells and the
+/// explicit cut sets.
 struct ShardPlan {
   /// cell_of[link] = index into `cells`.
   std::vector<std::uint32_t> cell_of;
@@ -56,9 +56,6 @@ struct ShardPlan {
   /// Cross-cell sense relations, sorted by (listener, speaker). Each one
   /// needs remote-activity injection at window barriers.
   std::vector<CutSense> cut_senses;
-  /// groups[g] = ascending cell indices simulated by parallel worker g.
-  /// Balanced greedily by link count; size <= requested shard count.
-  std::vector<std::vector<std::uint32_t>> groups;
 
   [[nodiscard]] std::size_t num_links() const { return cell_of.size(); }
 };
@@ -66,7 +63,7 @@ struct ShardPlan {
 /// Partitions a topology given its conflict relation (symmetric: listing
 /// either direction conflicts both; self loops ignored) and sense relation
 /// (directed: sense[n] lists the links n hears).
-/// `target_shards` >= 1 is the requested number of parallel groups.
+/// `target_shards` >= 1 is the requested number of cells (see below).
 ///
 /// Guarantees (property-tested):
 ///  - cells are exactly the connected components of the conflict∪sense
@@ -82,8 +79,13 @@ struct ShardPlan {
                                            const AdjacencyLists& sense,
                                            std::size_t target_shards);
 
-/// The plan of an unpartitioned network: one cell over links 0..n-1 in one
-/// group, nothing cut.
+/// The plan of an unpartitioned network: one cell over links 0..n-1,
+/// nothing cut.
 [[nodiscard]] ShardPlan single_cell_plan(std::size_t num_links);
+
+/// The one packing of cells onto parallel workers: min(count >= 1, cells)
+/// contiguous, non-empty chunks of about equal link count, as offsets (chunk
+/// w is cells [bounds[w], bounds[w + 1])). O(cells).
+[[nodiscard]] std::vector<std::size_t> chunk_bounds(const ShardPlan& plan, std::size_t count);
 
 }  // namespace rtmac::sim

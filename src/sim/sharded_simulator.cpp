@@ -8,15 +8,17 @@ namespace rtmac::sim {
 
 ShardCoordinator::ShardCoordinator(std::vector<ShardCell*> cells,
                                    std::vector<std::vector<std::uint32_t>> cut_neighbors,
-                                   std::vector<std::vector<std::uint32_t>> chunks,
+                                   std::span<const std::size_t> chunk_bounds,
                                    ThreadPool* pool, bool adaptive_lookahead)
     : cells_{std::move(cells)},
       cut_neighbors_{std::move(cut_neighbors)},
-      chunks_{std::move(chunks)},
+      chunk_bounds_{chunk_bounds},
       pool_{pool},
       adaptive_{adaptive_lookahead} {
   RTMAC_REQUIRE(!cells_.empty(), "coordinator needs at least one cell");
   RTMAC_REQUIRE(cut_neighbors_.size() == cells_.size(), "cut_neighbors size mismatch");
+  RTMAC_REQUIRE(chunk_bounds_.size() >= 2 && chunk_bounds_.back() == cells_.size(),
+                "chunk bounds must cover every cell");
   const util::PhantomLock barrier{shard_barrier};
   clock_snapshot_.resize(cells_.size());
   bound_snapshot_.resize(cells_.size());
@@ -70,16 +72,9 @@ void ShardCoordinator::advance_to(TimePoint horizon) {
     }
 
     // Parallel phase: each chunk advances its cells toward the horizon.
-    const auto run_chunk = [this, horizon](std::size_t w) {
-      for (const std::uint32_t c : chunks_[w]) {
-        if (cells_[c]->clock() < horizon) cells_[c]->run_window(horizon);
-      }
-    };
-    if (pool_ != nullptr) {
-      pool_->parallel_for(chunks_.size(), run_chunk);
-    } else {
-      for (std::size_t w = 0; w < chunks_.size(); ++w) run_chunk(w);
-    }
+    for_each_chunked(pool_, chunk_bounds_, [this, horizon](std::size_t c) {
+      if (cells_[c]->clock() < horizon) cells_[c]->run_window(horizon);
+    });
     ++rounds_;
 
     // Safety net: the conservative bound guarantees the minimum clock

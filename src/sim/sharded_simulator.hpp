@@ -40,7 +40,7 @@
 // Determinism: per-cell execution is single-threaded and schedule-free; the
 // barrier runs serially in canonical cell order; remote records are
 // injected in drain order. The result is byte-identical for any worker
-// count and any grouping of cells.
+// count and any chunking of cells.
 #pragma once
 
 #include <cstdint>
@@ -97,20 +97,31 @@ class ShardCell {
   virtual void run_window(TimePoint horizon) RTMAC_EXCLUDES(shard_barrier) = 0;
 };
 
+/// Calls `step(c)` for every cell c of the chunks [bounds[w], bounds[w + 1]),
+/// one ThreadPool::parallel_for index per chunk, or serially without a pool.
+/// The network's cell steps and the coordinator's windows both run here.
+template <typename Step>
+void for_each_chunked(ThreadPool* pool, std::span<const std::size_t> bounds, const Step& step) {
+  const auto run_chunk = [&](std::size_t w) {
+    for (std::size_t c = bounds[w]; c < bounds[w + 1]; ++c) step(c);
+  };
+  if (pool != nullptr) return pool->parallel_for(bounds.size() - 1, run_chunk);
+  for (std::size_t w = 0; w + 1 < bounds.size(); ++w) run_chunk(w);
+}
+
 /// Advances a set of shard cells to successive horizons.
 class ShardCoordinator {
  public:
   /// `cut_neighbors[i]` = cells sharing at least one cut edge (conflict or
   /// sense) with cell i, ascending: they bound cell i's resolution window,
-  /// and only they receive cell i's cut records. `chunks[w]` = cell indices
-  /// run by one ThreadPool::parallel_for index in the parallel phase. `pool`
-  /// may be null for serial execution; it is borrowed, not owned.
-  /// `adaptive_lookahead`
-  /// selects next_activity_bound() (default) over bare clocks when
-  /// computing the per-round resolution bounds.
+  /// and only they receive cell i's cut records. The parallel phase runs
+  /// for_each_chunked(pool, chunk_bounds, ...); both are borrowed, and a
+  /// null pool runs serially. `adaptive_lookahead` selects
+  /// next_activity_bound() (default) over bare clocks when computing the
+  /// per-round resolution bounds.
   ShardCoordinator(std::vector<ShardCell*> cells,
                    std::vector<std::vector<std::uint32_t>> cut_neighbors,
-                   std::vector<std::vector<std::uint32_t>> chunks, ThreadPool* pool,
+                   std::span<const std::size_t> chunk_bounds, ThreadPool* pool,
                    bool adaptive_lookahead = true);
 
   /// Runs rounds until every cell's clock reaches `horizon`.
@@ -123,7 +134,7 @@ class ShardCoordinator {
  private:
   std::vector<ShardCell*> cells_;
   std::vector<std::vector<std::uint32_t>> cut_neighbors_;
-  std::vector<std::vector<std::uint32_t>> chunks_;
+  std::span<const std::size_t> chunk_bounds_;
   ThreadPool* pool_;
   bool adaptive_;
   std::uint64_t rounds_ = 0;

@@ -20,16 +20,24 @@ struct ThreadPool::ForJob {
 };
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    throw std::invalid_argument{"ThreadPool: num_threads must be >= 1"};
+  if (num_threads == 0 || num_threads > kMaxThreads) {
+    throw std::invalid_argument{"ThreadPool: num_threads must be in [1, kMaxThreads]"};
   }
   workers_.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (std::size_t i = 0; i < num_threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // Destroying a joinable std::thread would terminate.
+    stop_and_join();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     const util::LockGuard lock{mutex_};
     stopping_ = true;
@@ -39,8 +47,7 @@ ThreadPool::~ThreadPool() {
 }
 
 std::size_t ThreadPool::hardware_threads() {
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : n;
+  return std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, kMaxThreads);
 }
 
 void ThreadPool::worker_loop() {

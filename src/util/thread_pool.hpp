@@ -20,7 +20,13 @@ namespace rtmac {
 
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers. Throws std::invalid_argument on 0.
+  /// Ceiling on the workers of one pool; the worker-count flags and
+  /// NetworkConfig::validate check against it too.
+  static constexpr std::size_t kMaxThreads = 1024;
+
+  /// Spawns `num_threads` workers. Throws std::invalid_argument on 0 or
+  /// above kMaxThreads, before any thread starts. A failed spawn joins the
+  /// workers already started and rethrows.
   explicit ThreadPool(std::size_t num_threads);
 
   ThreadPool(const ThreadPool&) = delete;
@@ -31,7 +37,7 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  /// Number of hardware threads, with a sane floor of 1.
+  /// Number of hardware threads, clamped to [1, kMaxThreads].
   [[nodiscard]] static std::size_t hardware_threads();
 
   /// Calls `body(i)` once for every i in [0, n), on idle workers and on the
@@ -55,6 +61,7 @@ class ThreadPool {
   struct ForJob;
 
   void worker_loop() RTMAC_EXCLUDES(mutex_);
+  void stop_and_join() RTMAC_EXCLUDES(mutex_);
   void run_for(std::size_t n, void (*call)(const void*, std::size_t), const void* ctx)
       RTMAC_EXCLUDES(mutex_);
   /// Claims and runs `job`'s indices until none is left.

@@ -169,6 +169,11 @@ TEST(BenchCliTest, MalformedOrOversizedIntegersExit2) {
               ::testing::ExitedWithCode(2), "--shards expects an integer");
   EXPECT_EXIT(parse_bench({"bench", "--shard-jobs", "4294967296"}), ::testing::ExitedWithCode(2),
               "--shard-jobs must be in");
+  // Worker counts above ThreadPool::kMaxThreads exit before any pool exists.
+  EXPECT_EXIT(parse_bench({"bench", "--jobs", "100000"}), ::testing::ExitedWithCode(2),
+              "--jobs must be in");
+  EXPECT_EXIT(parse_bench({"bench", "--shard-jobs", "100000"}), ::testing::ExitedWithCode(2),
+              "--shard-jobs must be in");
   EXPECT_EXIT(parse_bench({"bench", "--intervals", "5x"}), ::testing::ExitedWithCode(2),
               "--intervals expects an integer");
 }

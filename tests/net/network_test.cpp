@@ -10,6 +10,7 @@
 #include "expfw/scenarios.hpp"
 #include "net/network_config.hpp"
 #include "traffic/arrival_process.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rtmac::net {
 namespace {
@@ -30,6 +31,16 @@ TEST(NetworkConfigTest, RejectsSizeMismatch) {
   std::string error;
   EXPECT_FALSE(cfg.validate(&error));
   EXPECT_FALSE(error.empty());
+}
+
+TEST(NetworkConfigTest, RejectsShardJobsAboveCeiling) {
+  auto cfg = small_config();
+  cfg.shard_jobs = ThreadPool::kMaxThreads;
+  std::string error;
+  EXPECT_TRUE(cfg.validate(&error)) << error;
+  cfg.shard_jobs = ThreadPool::kMaxThreads + 1;
+  EXPECT_FALSE(cfg.validate(&error));
+  EXPECT_NE(error.find("kMaxThreads"), std::string::npos) << error;
 }
 
 TEST(NetworkConfigTest, RejectsLambdaMismatch) {

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <iterator>
 #include <memory>
 #include <sstream>
@@ -262,29 +263,55 @@ std::uint64_t chain_cut_collisions(const RunRecord& rec, std::size_t cells) {
 }
 
 TEST(ShardedNetworkTest, ChunkedDispatchIsIndependentOfShardJobs) {
-  // One group per cell, cut into 1, 3, 4 and 5 chunks (shard_jobs 1 runs
-  // serially; N >= 2 adds N workers to the calling thread). 3 and 5 divide
-  // neither 64 nor 16, so uneven chunk boundaries are covered on the
-  // cut-free city and on the coordinator-driven chain alike. On the chain
-  // every cell's interval edges run in chunks too, so it runs all three
-  // shardable schemes, DB-DP's per-interval planning included. The plan is
-  // fixed, so the metrics export and the stream (per-link debt recorded in
-  // chunks, read every 5 intervals) must match byte for byte as well.
+  // The cells cut into 1, 3, 4 and 5 chunks (shard_jobs 1 runs serially;
+  // N >= 2 adds N workers to the calling thread). 3 and 5 divide neither 64
+  // nor 16, so uneven chunk boundaries are covered on the cut-free city and
+  // on the coordinator-driven chain alike. At shards 4 the pool is capped at
+  // 3 workers, so there are 3 or 4 chunks: runs of 16 to 22 of the city's
+  // 64 clusters, or of the chain's four bisected cells. On the chain every
+  // cell's interval edges run in chunks too, so it runs all three shardable
+  // schemes, DB-DP's per-interval planning included. Each plan is fixed, so
+  // the metrics export and the stream (per-link debt recorded in chunks,
+  // read every 5 intervals) must match byte for byte as well.
   std::vector<SparseCase> cases = sparse_cases();
   cases.push_back({"chain DCF", expfw::chain_cells_topology(16, 8), expfw::dcf_factory(), 16});
   cases.push_back({"chain DB-DP", expfw::chain_cells_topology(16, 8), expfw::dbdp_factory(), 16});
   for (const SparseCase& c : cases) {
-    const RunRecord serial = sparse_run(c, c.cells, 1, /*observed=*/true);
-    EXPECT_GT(serial.delivered, 0U) << c.name;
-    EXPECT_NE(serial.metrics_jsonl.find("core.debt_per_interval"), std::string::npos) << c.name;
-    EXPECT_NE(serial.stream_jsonl.find("\"k\":19"), std::string::npos) << c.name;
-    if (c.cells == 16) {
-      EXPECT_GT(chain_cut_collisions(serial, c.cells), 0U) << c.name;
+    for (const std::size_t shards : {c.cells, 4UL}) {
+      const std::string label = std::string{c.name} + " shards=" + std::to_string(shards);
+      const RunRecord serial = sparse_run(c, shards, 1, /*observed=*/true);
+      EXPECT_GT(serial.delivered, 0U) << label;
+      EXPECT_NE(serial.metrics_jsonl.find("core.debt_per_interval"), std::string::npos) << label;
+      EXPECT_NE(serial.stream_jsonl.find("\"k\":19"), std::string::npos) << label;
+      if (c.cells == 16) {
+        EXPECT_GT(chain_cut_collisions(serial, c.cells), 0U) << label;
+      }
+      for (const std::size_t jobs : {2UL, 3UL, 4UL}) {
+        expect_same_run(serial, sparse_run(c, shards, jobs, /*observed=*/true),
+                        label + " shard_jobs=" + std::to_string(jobs));
+      }
     }
-    for (const std::size_t jobs : {2UL, 3UL, 4UL}) {
-      expect_same_run(serial, sparse_run(c, c.cells, jobs, /*observed=*/true),
-                      std::string{c.name} + " shard_jobs=" + std::to_string(jobs));
-    }
+  }
+}
+
+/// Threads of this process (Linux).
+std::size_t thread_count() {
+  const std::filesystem::directory_iterator tasks{"/proc/self/task"};
+  return static_cast<std::size_t>(std::distance(begin(tasks), end(tasks)));
+}
+
+TEST(ShardedNetworkTest, ShardsOneRunsManyCellsWithoutAPool) {
+  // 12 disconnected cells: shards 1 is one group, so no pool is spawned
+  // whatever shard_jobs asks for; shards 12 spawns the 4 workers asked for.
+  const std::size_t before = thread_count();
+  for (const std::size_t shards : {1UL, 12UL}) {
+    auto cfg = cells_config(7, shards, /*num_links=*/48);
+    cfg.shard_jobs = 4;
+    Network network{std::move(cfg), expfw::dcf_factory()};
+    ASSERT_EQ(network.cell_count(), 12U);
+    EXPECT_EQ(network.group_count(), shards);
+    EXPECT_EQ(thread_count(), before + (shards == 1 ? 0 : 4)) << "shards=" << shards;
+    network.run(3);
   }
 }
 

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -200,32 +199,6 @@ inline ShardPlan partition_topology(const AdjacencyLists& conflict,
   plan.cut_senses.erase(std::unique(plan.cut_senses.begin(), plan.cut_senses.end()),
                         plan.cut_senses.end());
 
-  // Greedy balanced grouping: cells descending by link count (ties toward
-  // the lower cell index) onto the least-loaded group (ties toward the
-  // lower group index), picked from a min-heap of (load, group) so the cost
-  // is O(cells log groups) even with one group per cell.
-  const std::size_t num_groups = std::min(target_shards, plan.cells.size());
-  plan.groups.assign(num_groups, {});
-  if (num_groups > 0) {
-    std::vector<std::uint32_t> by_size(plan.cells.size());
-    for (std::uint32_t c = 0; c < by_size.size(); ++c) by_size[c] = c;
-    std::sort(by_size.begin(), by_size.end(), [&](std::uint32_t x, std::uint32_t y) {
-      const std::size_t sx = plan.cells[x].size();
-      const std::size_t sy = plan.cells[y].size();
-      return sx != sy ? sx > sy : x < y;
-    });
-    using Load = std::pair<std::size_t, std::size_t>;  // (links, group)
-    const auto heavier = [](const Load& x, const Load& y) { return x > y; };
-    std::priority_queue<Load, std::vector<Load>, decltype(heavier)> least_loaded{heavier};
-    for (std::size_t g = 0; g < num_groups; ++g) least_loaded.emplace(0, g);
-    for (std::uint32_t c : by_size) {
-      const auto [load, g] = least_loaded.top();
-      least_loaded.pop();
-      plan.groups[g].push_back(c);
-      least_loaded.emplace(load + plan.cells[c].size(), g);
-    }
-    for (auto& group : plan.groups) std::sort(group.begin(), group.end());
-  }
   return plan;
 }
 

@@ -35,7 +35,6 @@ void expect_same_plan(const Lists& t, std::size_t target, const std::string& lab
   EXPECT_EQ(got.cells, want.cells) << where;
   EXPECT_TRUE(got.cut_conflicts == want.cut_conflicts) << where;
   EXPECT_TRUE(got.cut_senses == want.cut_senses) << where;
-  EXPECT_EQ(got.groups, want.groups) << where;
 }
 
 /// Diffs the plans at 1, components, components + 1, 2 x components and n

@@ -1,10 +1,12 @@
 // Property tests for the conflict-graph partitioner (DESIGN §4i): every
 // cross-cell relation must land in the cut sets, plans must be bitwise
-// deterministic, and complete graphs must never be split.
+// deterministic, and complete graphs must never be split. chunk_bounds must
+// cut any cell list into non-empty contiguous chunks of about equal links.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/shard_partitioner.hpp"
@@ -54,14 +56,13 @@ RandomTopology random_topology(std::size_t n, double conflict_p, double sense_p,
 
 bool plans_equal(const ShardPlan& a, const ShardPlan& b) {
   return a.cell_of == b.cell_of && a.cells == b.cells && a.cut_conflicts == b.cut_conflicts &&
-         a.cut_senses == b.cut_senses && a.groups == b.groups;
+         a.cut_senses == b.cut_senses;
 }
 
 /// The core partition invariants, checked for any plan:
 ///  - cells partition {0..n-1}, each ascending, cell_of consistent;
 ///  - every conflict edge is intra-cell or in cut_conflicts (exactly);
-///  - every sense relation is intra-cell or in cut_senses (exactly);
-///  - groups cover every cell exactly once.
+///  - every sense relation is intra-cell or in cut_senses (exactly).
 void check_invariants(const ShardPlan& plan, const AdjacencyLists& conflict,
                       const AdjacencyLists& sense) {
   const std::size_t n = conflict.size();
@@ -117,15 +118,6 @@ void check_invariants(const ShardPlan& plan, const AdjacencyLists& conflict,
   for (const CutSense& s : plan.cut_senses) {
     EXPECT_NE(plan.cell_of[s.listener], plan.cell_of[s.speaker]);
   }
-
-  std::vector<int> grouped(plan.cells.size(), 0);
-  for (const auto& group : plan.groups) {
-    for (const std::uint32_t c : group) {
-      ASSERT_LT(c, plan.cells.size());
-      ++grouped[c];
-    }
-  }
-  for (std::size_t c = 0; c < plan.cells.size(); ++c) EXPECT_EQ(grouped[c], 1) << "cell " << c;
 }
 
 // ---- properties -------------------------------------------------------------
@@ -158,7 +150,6 @@ TEST(ShardPartitionerTest, DisconnectedCliquesBecomeTheirOwnCutFreeCells) {
     for (std::uint32_t c = 0; c < 4; ++c) {
       EXPECT_EQ(plan.cells[c], (std::vector<LinkId>{3 * c, 3 * c + 1, 3 * c + 2}));
     }
-    EXPECT_EQ(plan.groups.size(), std::min<std::size_t>(target, 4));
     check_invariants(plan, conflict, conflict);
   }
 }
@@ -215,6 +206,50 @@ TEST(ShardPartitionerTest, SenseOnlyCouplingKeepsLinksInOneCell) {
   const auto plan = partition_topology(conflict, sense, 1);
   ASSERT_EQ(plan.cells.size(), 1U);
   EXPECT_TRUE(plans_equal(plan, single_cell_plan(2)));
+}
+
+TEST(ShardPartitionerTest, ChunkBoundsCutCellsIntoBalancedNonEmptyRuns) {
+  // Random cell sizes (1 to 40 links, or 1 to 3 for many ties), cut at
+  // every count from 1 to two past the cell count: the offsets ascend from
+  // 0 to the cell count, every chunk holds a cell, there are
+  // min(count, cells) chunks, and each chunk's links are within one largest
+  // cell of an equal share.
+  Rng rng{2027, /*stream_id=*/0xC4B5ULL};
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto cells = static_cast<std::size_t>(rng.uniform_int(1, 24));
+    std::vector<std::size_t> sizes(cells);
+    for (std::size_t& size : sizes) {
+      size = static_cast<std::size_t>(rng.uniform_int(1, trial % 2 == 0 ? 40 : 3));
+    }
+    ShardPlan plan;
+    for (std::size_t c = 0; c < cells; ++c) {
+      plan.cells.emplace_back(sizes[c]);
+      for (LinkId& v : plan.cells.back()) {
+        v = static_cast<LinkId>(plan.cell_of.size());
+        plan.cell_of.push_back(static_cast<std::uint32_t>(c));
+      }
+    }
+    const std::size_t links = plan.num_links();
+    const std::size_t largest = *std::max_element(sizes.begin(), sizes.end());
+    for (std::size_t count = 1; count <= cells + 2; ++count) {
+      const std::vector<std::size_t> bounds = chunk_bounds(plan, count);
+      const std::size_t chunks = std::min(count, cells);
+      const std::string where = "trial " + std::to_string(trial) + " cells " +
+                                std::to_string(cells) + " count " + std::to_string(count);
+      ASSERT_EQ(bounds.size(), chunks + 1) << where;
+      EXPECT_EQ(bounds.front(), 0U) << where;
+      EXPECT_EQ(bounds.back(), cells) << where;
+      for (std::size_t w = 0; w < chunks; ++w) {
+        ASSERT_LT(bounds[w], bounds[w + 1]) << where << " chunk " << w;
+        std::size_t total = 0;
+        for (std::size_t c = bounds[w]; c < bounds[w + 1]; ++c) total += sizes[c];
+        // |total - links / chunks| <= largest, in integers.
+        const std::size_t scaled = total * chunks;
+        const std::size_t gap = scaled > links ? scaled - links : links - scaled;
+        EXPECT_LE(gap, largest * chunks) << where << " chunk " << w << " holds " << total;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -16,10 +16,16 @@ TEST(ThreadPoolTest, ZeroThreadsThrows) {
   EXPECT_THROW(ThreadPool{0}, std::invalid_argument);
 }
 
+TEST(ThreadPoolTest, MoreThreadsThanTheCeilingThrowsBeforeSpawning) {
+  // The size check comes first, so this starts no thread.
+  EXPECT_THROW(ThreadPool{ThreadPool::kMaxThreads + 1}, std::invalid_argument);
+}
+
 TEST(ThreadPoolTest, ReportsSizeAndHardwareFloor) {
   ThreadPool pool{3};
   EXPECT_EQ(pool.size(), 3u);
   EXPECT_GE(ThreadPool::hardware_threads(), 1u);
+  EXPECT_LE(ThreadPool::hardware_threads(), ThreadPool::kMaxThreads);
 }
 
 TEST(ThreadPoolTest, ParallelForRunsOnEveryWorkerAndTheCaller) {
