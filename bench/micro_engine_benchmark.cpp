@@ -31,6 +31,7 @@
 #include "obs/collect.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sketch.hpp"
+#include "obs/stream.hpp"
 #include "phy/channel_model.hpp"
 #include "phy/interference.hpp"
 #include "phy/medium.hpp"
@@ -39,6 +40,7 @@
 #include "sim/simulator.hpp"
 #include "traffic/arrival_process.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 // ---- counting allocator hook ------------------------------------------------
 // Global operator new/delete replacements that count every heap allocation in
@@ -506,6 +508,18 @@ void BM_SketchMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_SketchMerge)->Arg(4)->Arg(16);
 
+/// The unit-disk city of 8-link cells, DCF, one cell per cluster, that the
+/// obs benches below observe.
+net::NetworkConfig obs_city_config(std::size_t links) {
+  net::NetworkConfig cfg = expfw::with_sparse_topology(
+      net::symmetric_network(links, Duration::milliseconds(2),
+                             phy::PhyParams::control_80211a(), 0.7,
+                             traffic::BernoulliArrivals{0.8}, 0.9, 21),
+      expfw::city_unit_disk_topology(links / 8, 8, 22));
+  cfg.shards = links / 8;
+  return cfg;
+}
+
 // End-of-run collection (obs::collect_network_metrics) on a unit-disk city
 // of 8-link cells, DCF, one cell per cluster: per-link gauges plus the
 // collision-ledger walk. Collection cost must grow with links and stored
@@ -513,14 +527,7 @@ BENCHMARK(BM_SketchMerge)->Arg(4)->Arg(16);
 // so the fold of per-cell registries is left to BM_MergeCellRegistries.
 void BM_CollectNetworkMetrics(benchmark::State& state) {
   const auto links = static_cast<std::size_t>(state.range(0));
-  const std::size_t cells = links / 8;
-  net::NetworkConfig cfg = expfw::with_sparse_topology(
-      net::symmetric_network(links, Duration::milliseconds(2),
-                             phy::PhyParams::control_80211a(), 0.7,
-                             traffic::BernoulliArrivals{0.8}, 0.9, 21),
-      expfw::city_unit_disk_topology(cells, 8, 22));
-  cfg.shards = cells;
-  net::Network net{std::move(cfg), expfw::dcf_factory()};
+  net::Network net{obs_city_config(links), expfw::dcf_factory()};
   net.run(20);
   for (auto _ : state) {
     obs::MetricsRegistry registry;
@@ -532,20 +539,73 @@ void BM_CollectNetworkMetrics(benchmark::State& state) {
 }
 BENCHMARK(BM_CollectNetworkMetrics)->Arg(1024)->Arg(4096)->Unit(benchmark::kMillisecond);
 
+// The JSONL export of what collect_network_metrics gathered on the
+// BM_CollectNetworkMetrics city, into a discarding sink: the first export
+// of a fresh registry, so it includes sorting the names into export order.
+void BM_WriteJsonl(benchmark::State& state) {
+  const auto links = static_cast<std::size_t>(state.range(0));
+  net::Network net{obs_city_config(links), expfw::dcf_factory()};
+  net.run(20);
+  obs::NullStreamSink sink;
+  std::size_t lines = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto registry = std::make_unique<obs::MetricsRegistry>();
+    obs::collect_network_metrics(*registry, net);
+    lines = registry->size();
+    state.ResumeTiming();
+    registry->write_jsonl(sink.stream());
+    state.PauseTiming();
+    registry.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(lines));
+  state.SetLabel("items = lines");
+}
+BENCHMARK(BM_WriteJsonl)->Arg(4096)->Unit(benchmark::kMillisecond);
+
+// The stream snapshot's zero-allocation contract, CI-gated at zero: once
+// the first snapshot has sized the export buffers, a snapshot of the
+// observed city's run-time registry (a debt gauge and sketch per link) on a
+// 3-worker pool allocates nothing, on the calling thread or the pool's.
+// Every debt sketch takes a new sample between snapshots (outside the
+// window), so each snapshot reads sketches that changed since the last.
+void BM_StreamSnapshotAllocs(benchmark::State& state) {
+  const auto links = static_cast<std::size_t>(state.range(0));
+  net::NetworkConfig cfg = obs_city_config(links);
+  cfg.shard_jobs = 1;  // a serial run: the snapshot's pool is the only one
+  net::Network net{std::move(cfg), expfw::dcf_factory()};
+  obs::MetricsRegistry registry;
+  net.attach_metrics(&registry);
+  net.run(20);
+  ThreadPool pool{3};
+  obs::NullStreamSink sink;
+  registry.stream_to(&sink, 1, R"("label":"bench")");
+  std::uint64_t k = 0;
+  registry.stream_tick(k++, 0, &pool);  // warm-up: sizes the buffers
+  std::uint64_t window_allocs = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    net.run(1);
+    state.ResumeTiming();
+    const std::uint64_t before = alloc_count();
+    registry.stream_tick(k, static_cast<std::int64_t>(k) * 2'000'000, &pool);
+    window_allocs += alloc_count() - before;
+    ++k;
+  }
+  state.counters["allocs"] = static_cast<double>(window_allocs);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(registry.size()));
+  state.SetLabel("items = lines");
+}
+BENCHMARK(BM_StreamSnapshotAllocs)->Arg(4096)->Unit(benchmark::kMillisecond);
+
 // Obs memory per link: attaching a registry to a unit-disk city of 8-link
 // cells, DCF (the observed_city shape). Every link gets a debt gauge and
 // debt sketch, every cell registry two sample sketches; none of them has
 // left exact mode at attach time, so the cost is what a short run pays.
 void BM_AttachMetrics(benchmark::State& state) {
   const auto links = static_cast<std::size_t>(state.range(0));
-  const std::size_t cells = links / 8;
-  net::NetworkConfig cfg = expfw::with_sparse_topology(
-      net::symmetric_network(links, Duration::milliseconds(2),
-                             phy::PhyParams::control_80211a(), 0.7,
-                             traffic::BernoulliArrivals{0.8}, 0.9, 21),
-      expfw::city_unit_disk_topology(cells, 8, 22));
-  cfg.shards = cells;
-  net::Network net{std::move(cfg), expfw::dcf_factory()};
+  net::Network net{obs_city_config(links), expfw::dcf_factory()};
   std::uint64_t allocs = 0;
   std::uint64_t bytes = 0;
   for (auto _ : state) {

@@ -332,7 +332,7 @@ std::vector<SweepResult> run_sweeps(const std::vector<SchemeSpec>& schemes,
       }
       results[s].samples[i][rep] = std::move(sample);
 
-      if (with_stream) stream_blocks[task_index] = stream_sink.str();
+      if (with_stream) stream_blocks[task_index] = stream_sink.take();
       if (with_metrics) {
         network.attach_metrics(nullptr);
         obs::collect_network_metrics(registry, network);

@@ -483,10 +483,11 @@ void Network::attach_metrics(obs::MetricsRegistry* registry) {
   // stay cheap at large N, and per-link debt spans a narrower range than
   // the network-wide L-inf series.
   const obs::SketchOptions per_link{/*k=*/64, /*exact_threshold=*/256};
+  std::string name;
   for (LinkId n = 0; n < config_.num_links(); ++n) {
-    debt_gauges_.push_back(&registry->gauge(obs::link_metric("core.debt", n)));
+    debt_gauges_.push_back(&registry->gauge(obs::link_metric(name, "core.debt", n)));
     debt_sketches_.push_back(
-        &registry->sketch(obs::link_metric("core.debt_per_interval", n), per_link));
+        &registry->sketch(obs::link_metric(name, "core.debt_per_interval", n), per_link));
   }
 }
 
@@ -575,8 +576,9 @@ void Network::finish_interval(IntervalIndex k, TimePoint end) {
     deliveries_sketch_->update(static_cast<double>(total_delivered));
     // In-run time-series export: one whole-registry snapshot every
     // cadence intervals, stamped with sim time only (stream_tick is a
-    // single branch when no stream sink is attached).
-    metrics_->stream_tick(k, end.ns());
+    // single branch when no stream sink is attached), formatted on the
+    // shard pool.
+    metrics_->stream_tick(k, end.ns(), pool_.get());
   }
   for (const auto& obs : observers_) obs(k, arrivals_, delivered_);
 }

@@ -1,5 +1,6 @@
 #include "obs/collect.hpp"
 
+#include <string>
 #include <vector>
 
 #include "mac/dp_link_mac.hpp"
@@ -40,10 +41,14 @@ void collect_network_metrics(MetricsRegistry& registry, const net::Network& netw
   // each cell Medium's pair ledger for intra-cell pairs, the cut resolver's
   // for cross-cell pairs — so the cost is O(ledger cells), not O(links^2).
   // Each unordered pair is emitted once (self-pairs cover same-link overlap).
+  // Per-link and per-node names are built in two reused buffers.
+  std::string name;
+  std::string pair_base;
   const std::size_t n_links = network.config().num_links();
   std::vector<std::uint32_t> partners(n_links, 0);
   network.for_each_collision_pair([&](LinkId a, LinkId b, std::uint64_t pairs) {
-    registry.counter(link_metric(link_metric("phy.collision_pair", a), b)).inc(pairs);
+    registry.counter(link_metric(name, link_metric(pair_base, "phy.collision_pair", a), b))
+        .inc(pairs);
     if (a != b) {
       ++partners[a];
       ++partners[b];
@@ -53,21 +58,21 @@ void collect_network_metrics(MetricsRegistry& registry, const net::Network& netw
   for (LinkId n = 0; n < n_links; ++n) {
     const auto& lc = network.link_counters(n);
     const std::uint64_t tx = lc.data_tx + lc.empty_tx;
-    registry.gauge(link_metric("link.delivery_rate", n)).set(stats.delivery_ratio(n));
-    registry.gauge(link_metric("link.collision_rate", n))
+    registry.gauge(link_metric(name, "link.delivery_rate", n)).set(stats.delivery_ratio(n));
+    registry.gauge(link_metric(name, "link.collision_rate", n))
         .set(tx > 0 ? static_cast<double>(lc.collisions) / static_cast<double>(tx) : 0.0);
-    registry.gauge(link_metric("link.timely_throughput", n)).set(stats.timely_throughput(n));
-    registry.gauge(link_metric("link.debt", n)).set(network.debts().debt(n));
+    registry.gauge(link_metric(name, "link.timely_throughput", n)).set(stats.timely_throughput(n));
+    registry.gauge(link_metric(name, "link.debt", n)).set(network.debts().debt(n));
     // The node's carrier-sense view: fraction of sim time during which some
     // link it can hear (itself included) was on the air. On a complete
     // topology every node's value equals the global phy.busy_fraction; under
     // partial sensing they diverge — the gap is what the hidden terminal
     // cannot hear. Exact on both engines: cross-cell cut activity is
     // injected into the listening views at window barriers.
-    registry.gauge(node_metric("medium.busy_fraction", n))
+    registry.gauge(node_metric(name, "medium.busy_fraction", n))
         .set(sim_seconds > 0.0 ? network.node_sense_busy_time(n).seconds_f() / sim_seconds
                                : 0.0);
-    registry.gauge(link_metric("link.collision_partners", n))
+    registry.gauge(link_metric(name, "link.collision_partners", n))
         .set(static_cast<double>(partners[n]));
   }
 
@@ -83,9 +88,9 @@ void collect_network_metrics(MetricsRegistry& registry, const net::Network& netw
     const mac::DpBatchKernel& kernel = dp->kernel();
     const std::span<const LinkId> links = network.cell_links(ci);
     for (std::size_t j = 0; j < links.size(); ++j) {
-      registry.gauge(link_metric("mac.dp.priority", links[j]))
+      registry.gauge(link_metric(name, "mac.dp.priority", links[j]))
           .set(static_cast<double>(kernel.priority(static_cast<LinkId>(j))));
-      registry.gauge(link_metric("mac.dp.backoff_slots", links[j]))
+      registry.gauge(link_metric(name, "mac.dp.backoff_slots", links[j]))
           .set(static_cast<double>(kernel.backoff_count(static_cast<LinkId>(j))));
     }
   }

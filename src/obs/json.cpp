@@ -1,59 +1,98 @@
 #include "obs/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <ostream>
 #include <type_traits>
 
 namespace rtmac::obs {
 
-namespace {
+std::size_t json_escaped_size(std::string_view s) {
+  std::size_t size = s.size();
+  for (const char c : s) {
+    if (static_cast<unsigned char>(c) >= 0x20 && c != '"' && c != '\\') continue;
+    const bool short_escape = c == '"' || c == '\\' || c == '\n' || c == '\r' || c == '\t';
+    size += short_escape ? 1 : 5;  // \" or \u00XX
+  }
+  return size;
+}
 
-void append_quoted(std::string& out, std::string_view s) {
-  out += '"';
+JsonWriter& JsonWriter::quoted(std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  *cur_++ = '"';
   for (const char c : s) {
     switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
+      case '"': text("\\\""); break;
+      case '\\': text("\\\\"); break;
+      case '\n': text("\\n"); break;
+      case '\r': text("\\r"); break;
+      case '\t': text("\\t"); break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
+          text("\\u00");
+          *cur_++ = kHex[(c >> 4) & 0xf];
+          *cur_++ = kHex[c & 0xf];
         } else {
-          out += c;
+          *cur_++ = c;
         }
     }
   }
-  out += '"';
+  *cur_++ = '"';
+  return *this;
+}
+
+namespace {
+
+template <typename T>
+char* write_number(char* out, T v) {
+  constexpr std::string_view kNull = "null";
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) return std::copy(kNull.begin(), kNull.end(), out);
+  }
+  const auto [end, ec] = std::to_chars(out, out + kJsonNumberMaxChars, v);
+  if (ec != std::errc{}) return std::copy(kNull.begin(), kNull.end(), out);
+  return end;
+}
+
+/// Appends what `render` writes into a JsonWriter, given at most `room`
+/// bytes of it, to `out`.
+template <typename Render>
+void append_rendered(std::string& out, std::size_t room, const Render& render) {
+  const std::size_t old = out.size();
+  out.resize(old + room);
+  JsonWriter w{out.data() + old};
+  render(w);
+  out.resize(static_cast<std::size_t>(w.end() - out.data()));
+}
+
+void append_quoted(std::string& out, std::string_view s) {
+  append_rendered(out, json_escaped_size(s) + 2, [s](JsonWriter& w) { w.quoted(s); });
 }
 
 template <typename T>
 void append_number(std::string& out, T v) {
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(v)) {
-      out += "null";
-      return;
-    }
-  }
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  if (ec != std::errc{}) {
-    out += "null";
-    return;
-  }
-  out.append(buf, end);
+  append_rendered(out, kJsonNumberMaxChars, [v](JsonWriter& w) { w.number(v); });
 }
 
 }  // namespace
 
+JsonWriter& JsonWriter::number(double v) {
+  cur_ = write_number(cur_, v);
+  return *this;
+}
+
+JsonWriter& JsonWriter::number(std::int64_t v) {
+  cur_ = write_number(cur_, v);
+  return *this;
+}
+
+JsonWriter& JsonWriter::number(std::uint64_t v) {
+  cur_ = write_number(cur_, v);
+  return *this;
+}
+
 std::string json_quote(std::string_view s) {
   std::string out;
-  out.reserve(s.size() + 2);
   append_quoted(out, s);
   return out;
 }
@@ -64,8 +103,17 @@ std::string json_number(double v) {
   return out;
 }
 
-std::string json_number(std::int64_t v) { return std::to_string(v); }
-std::string json_number(std::uint64_t v) { return std::to_string(v); }
+std::string json_number(std::int64_t v) {
+  std::string out;
+  append_number(out, v);
+  return out;
+}
+
+std::string json_number(std::uint64_t v) {
+  std::string out;
+  append_number(out, v);
+  return out;
+}
 
 void JsonObject::key(std::string_view k) {
   if (body_.size() > 1) body_ += ',';
@@ -101,18 +149,6 @@ JsonObject& JsonObject::raw(std::string_view k, std::string_view json_value) {
   key(k);
   body_ += json_value;
   return *this;
-}
-
-JsonObject& JsonObject::raw_fields(std::string_view json_fields) {
-  if (json_fields.empty()) return *this;
-  if (body_.size() > 1) body_ += ',';
-  body_ += json_fields;
-  return *this;
-}
-
-void JsonObject::write_line(std::ostream& out) const {
-  out.write(body_.data(), static_cast<std::streamsize>(body_.size()));
-  out.write("}\n", 2);
 }
 
 namespace {

@@ -7,8 +7,9 @@
 // just rich enough for round-trip tests and CI well-formedness checks.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <iosfwd>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <string>
@@ -25,6 +26,48 @@ namespace rtmac::obs {
 [[nodiscard]] std::string json_number(std::int64_t v);
 [[nodiscard]] std::string json_number(std::uint64_t v);
 
+/// Room one JsonWriter::number() call needs: the longest shortest-round-
+/// trip double is 24 characters, a 64-bit integer 20.
+inline constexpr std::size_t kJsonNumberMaxChars = 32;
+
+/// Length of `s` once escaped per RFC 8259, quotes excluded; equal to
+/// s.size() exactly when `s` needs no escaping.
+[[nodiscard]] std::size_t json_escaped_size(std::string_view s);
+
+/// Renders JSON text into a caller-sized byte buffer: no allocation and no
+/// bounds checks, so the caller reserves the room first (text size,
+/// json_escaped_size() + 2 per quoted string, kJsonNumberMaxChars per
+/// number). Every JSON byte this library formats goes through it — the
+/// registry's JSONL lines (exports, stream snapshots, flight-recorder
+/// dumps) directly, JsonObject and json_quote/json_number via a string.
+class JsonWriter {
+ public:
+  explicit JsonWriter(char* out) : cur_{out} {}
+
+  /// Copies `s` verbatim (constant key fragments, pre-rendered JSON).
+  JsonWriter& text(std::string_view s) {
+    std::memcpy(cur_, s.data(), s.size());
+    cur_ += s.size();
+    return *this;
+  }
+  JsonWriter& text(char c) {
+    *cur_++ = c;
+    return *this;
+  }
+  /// Escapes `s` per RFC 8259 and wraps it in double quotes.
+  JsonWriter& quoted(std::string_view s);
+  /// Shortest round-trip rendering; non-finite doubles render as null.
+  JsonWriter& number(double v);
+  JsonWriter& number(std::int64_t v);
+  JsonWriter& number(std::uint64_t v);
+
+  /// One past the last byte written.
+  [[nodiscard]] char* end() const { return cur_; }
+
+ private:
+  char* cur_;
+};
+
 /// Incremental builder for one flat JSON object: field() calls accumulate
 /// `"key":value` pairs; str() closes and returns `{...}`. Keys are emitted
 /// in call order (deterministic output).
@@ -39,16 +82,8 @@ class JsonObject {
   }
   /// Splices a pre-rendered JSON value (array, nested object) verbatim.
   JsonObject& raw(std::string_view key, std::string_view json_value);
-  /// Splices pre-rendered `"key":value` pairs (comma-separated, no braces)
-  /// verbatim after the fields so far; empty is a no-op.
-  JsonObject& raw_fields(std::string_view json_fields);
 
   [[nodiscard]] std::string str() const { return body_ + "}"; }
-  /// Writes the closed object plus '\n' (one JSONL line) without copying.
-  void write_line(std::ostream& out) const;
-  /// Empties the object, keeping the buffer's capacity, so one builder can
-  /// render many lines without reallocating.
-  void clear() { body_.resize(1); }
 
  private:
   void key(std::string_view k);

@@ -4,13 +4,16 @@
 // histograms here and update them through cached handles, so an attached
 // registry costs one pointer indirection per event and a detached one costs
 // a single null check (the same zero-overhead contract sim::Tracer uses).
-// The registry is single-threaded by design — each simulation task owns its
-// own instance, exactly like the Simulator it observes — and exports
-// deterministically ordered, schema-versioned JSONL for downstream tooling.
+// Each simulation task owns its own instance, exactly like the Simulator it
+// observes: registration, updates and merges happen on one thread at a
+// time. An export (write_jsonl, stream_tick) may format on a thread pool;
+// it hands every instrument to exactly one pool thread, and the pool
+// threads allocate nothing (DESIGN §4e). Exports are deterministically
+// ordered, schema-versioned JSONL for downstream tooling.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <ostream>
 #include <span>
@@ -19,6 +22,10 @@
 #include <vector>
 
 #include "obs/sketch.hpp"
+
+namespace rtmac {
+class ThreadPool;
+}
 
 namespace rtmac::obs {
 
@@ -108,6 +115,7 @@ class MetricsRegistry {
   MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+  ~MetricsRegistry();
 
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
@@ -145,8 +153,9 @@ class MetricsRegistry {
   /// with the interval index and its sim-time end stamp. Emits a snapshot
   /// on every `every`-th call since stream_to(); no-op (one branch) when
   /// detached. Sim-time stamps only: wall-clock never enters the stream,
-  /// so streamed files diff clean across --jobs.
-  void stream_tick(std::uint64_t k, std::int64_t t_ns);
+  /// so streamed files diff clean across --jobs. The snapshot is a
+  /// write_jsonl() on `pool` (see there).
+  void stream_tick(std::uint64_t k, std::int64_t t_ns, ThreadPool* pool = nullptr);
 
   /// One JSONL line per metric, in name order (deterministic). `context`,
   /// when non-empty, is a raw JSON fragment of extra fields — e.g.
@@ -155,28 +164,95 @@ class MetricsRegistry {
   /// responsible for the header line (write_metrics_header) once per file.
   /// Though const, the export writes: each sketch's quantile() reorders its
   /// retained samples in place (see QuantileSketch), so an export must not
-  /// overlap another export or any read of the same registry's sketches.
-  void write_jsonl(std::ostream& out, std::string_view context = {}) const;
+  /// overlap another export, any read of the same registry's sketches, or
+  /// any registration. With a `pool`, contiguous runs of lines are
+  /// formatted on its threads, one run per thread and each instrument in
+  /// exactly one run, into buffers the calling thread sized; the bytes are
+  /// the same as with no pool, which formats on the calling thread alone.
+  void write_jsonl(std::ostream& out, std::string_view context = {},
+                   ThreadPool* pool = nullptr) const;
 
  private:
   enum class Type : std::uint8_t { kCounter, kGauge, kHistogram, kSketch };
   struct Entry {
+    std::uint32_t name_begin;   ///< offset of the name in names_
+    std::uint32_t name_size;
+    std::uint32_t quoted_size;  ///< escaped name size; == name_size: no escaping needed
     Type type;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
-    std::unique_ptr<QuantileSketch> sketch;
+    void* instrument;           ///< in the pool of `type`
+  };
+  /// Hash-index slot: the low bits of the name's hash and entry index + 1
+  /// (0 = empty).
+  struct Slot {
+    std::uint32_t tag = 0;
+    std::uint32_t entry = 0;
+  };
+  /// Instruments of one type in chunks that never move, so handles stay
+  /// valid; chunks double in size up to kChunkBytes.
+  template <typename T>
+  class Pool {
+   public:
+    Pool() = default;
+    Pool(const Pool&) = delete;
+    Pool& operator=(const Pool&) = delete;
+    ~Pool();
+    template <typename... Args>
+    T& emplace(Args&&... args);
+
+   private:
+    static constexpr std::size_t kChunkBytes = std::size_t{1} << 16;
+    struct Chunk {
+      T* items;
+      std::size_t capacity;
+    };
+    std::vector<Chunk> chunks_;
+    std::size_t used_ = 0;  ///< items constructed in the last chunk
+  };
+  /// A run of lines of one export, formatted into one buffer.
+  struct Block {
+    std::unique_ptr<char[]> bytes;
+    std::size_t capacity = 0;
+    std::size_t size = 0;
+    std::size_t first = 0;  ///< run [first, last) of the ordered view
+    std::size_t last = 0;
   };
 
-  // std::map keeps export order independent of registration order, which
-  // keeps JSONL diffs stable when instrumentation points move around.
-  std::map<std::string, Entry, std::less<>> entries_;
+  /// The entry registered under `name` with type `type`, created through
+  /// `make(hash)` (which returns the new instrument) when absent.
+  template <typename Make>
+  Entry& get_or_create(std::string_view name, Type type, const Make& make);
+  void grow_index();
+  [[nodiscard]] std::string_view name_of(const Entry& e) const {
+    return {names_.data() + e.name_begin, e.name_size};
+  }
+  /// Entry indices in byte order of names; sorts what registration appended
+  /// since the last call.
+  [[nodiscard]] const std::vector<std::uint32_t>& ordered() const;
+  [[nodiscard]] std::size_t line_bound(const Entry& e, std::string_view context) const;
+  char* write_line(char* out, const Entry& e, std::string_view context) const;
 
-  // Streaming state (see stream_to/stream_tick).
+  std::vector<Entry> entries_;  ///< registration order
+  std::string names_;           ///< every name, back to back
+  std::vector<Slot> index_;     ///< open addressing, power-of-two size
+  Pool<Counter> counters_;
+  Pool<Gauge> gauges_;
+  Pool<Histogram> histograms_;
+  Pool<QuantileSketch> sketches_;
+  // Export order is byte order of names, independent of registration
+  // order, which keeps JSONL diffs stable when instrumentation points move
+  // around. order_[0, sorted_) is sorted; registration appends.
+  mutable std::vector<std::uint32_t> order_;
+  mutable std::size_t sorted_ = 0;
+  mutable std::vector<Block> blocks_;  ///< export buffers, reused
+
+  // Streaming state (see stream_to/stream_tick). stream_context_ holds the
+  // caller's context and `"k":`; each snapshot appends its stamps after
+  // stream_prefix_ bytes.
   StreamSink* stream_sink_ = nullptr;
   std::uint64_t stream_every_ = 1;
   std::uint64_t stream_ticks_ = 0;
   std::string stream_context_;
+  std::size_t stream_prefix_ = 0;
 };
 
 /// "link3" etc. — the per-link naming convention used by all instrumented
@@ -188,5 +264,10 @@ class MetricsRegistry {
 /// Distinct from link_metric because a node's carrier-sense view aggregates
 /// other links' activity, not its own traffic.
 [[nodiscard]] std::string node_metric(std::string_view base, std::uint32_t node);
+
+/// link_metric and node_metric in a reused buffer, for loops that name
+/// many instruments: each call overwrites `name` and returns a view of it.
+std::string_view link_metric(std::string& name, std::string_view base, std::uint32_t link);
+std::string_view node_metric(std::string& name, std::string_view base, std::uint32_t node);
 
 }  // namespace rtmac::obs

@@ -20,6 +20,8 @@
 #include <sstream>
 #include <streambuf>
 #include <string>
+#include <string_view>
+#include <utility>
 
 namespace rtmac::obs {
 
@@ -63,7 +65,11 @@ class FileStreamSink final : public StreamSink {
 class StringStreamSink final : public StreamSink {
  public:
   [[nodiscard]] std::ostream& stream() override { return out_; }
-  [[nodiscard]] std::string str() const { return out_.str(); }
+  /// The bytes written so far, without a copy; valid until the next write
+  /// or take().
+  [[nodiscard]] std::string_view str() const { return out_.view(); }
+  /// Moves the bytes out, leaving the sink empty.
+  [[nodiscard]] std::string take() { return std::move(out_).str(); }
 
  private:
   std::ostringstream out_;

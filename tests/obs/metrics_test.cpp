@@ -7,15 +7,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "expfw/scenarios.hpp"
 #include "net/network.hpp"
 #include "obs/collect.hpp"
 #include "obs/json.hpp"
+#include "obs/reference_metrics_writer.hpp"
+#include "obs/stream.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rtmac::obs {
 namespace {
@@ -110,6 +116,175 @@ TEST(RegistryTest, HandlesAreStableAndGetOrCreate) {
   Histogram& h2 = reg.histogram("h", {5.0});
   EXPECT_EQ(&h1, &h2);
   EXPECT_EQ(h2.bounds().size(), 2u);
+
+  // 10^5 mixed-type registrations grow every pool, the name index and the
+  // name arena many times over: the handles taken first stay valid and
+  // come back again, each holding what was written through it.
+  constexpr int kMany = 100'000;
+  std::vector<void*> first_handles;
+  std::string name;
+  const auto register_one = [&reg, &name](int i) -> void* {
+    name = "m";
+    name += std::to_string(i % 997);
+    name += '.';
+    name += std::to_string(i);
+    switch (i % 4) {
+      case 0: return &reg.counter(name);
+      case 1: return &reg.gauge(name);
+      case 2: return &reg.histogram(name, {1.0});
+      default: return &reg.sketch(name, {/*k=*/4, /*exact_threshold=*/4});
+    }
+  };
+  for (int i = 0; i < kMany; ++i) {
+    void* const handle = register_one(i);
+    if (i < 64) {
+      first_handles.push_back(handle);
+      if (i % 4 == 0) static_cast<Counter*>(handle)->inc(static_cast<std::uint64_t>(i) + 1);
+      if (i % 4 == 1) static_cast<Gauge*>(handle)->set(i);
+    }
+  }
+  EXPECT_EQ(reg.size(), 102u + kMany);
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(register_one(i), first_handles[static_cast<std::size_t>(i)]) << i;
+    if (i % 4 == 0) {
+      EXPECT_EQ(static_cast<Counter*>(first_handles[i])->value(), i + 1u);
+    } else if (i % 4 == 1) {
+      EXPECT_EQ(static_cast<Gauge*>(first_handles[i])->value(), i);
+    }
+  }
+  EXPECT_EQ(&reg.counter("a.count"), &c1);
+  EXPECT_EQ(reg.size(), 102u + kMany);  // the lookups created nothing
+
+  // A name keeps its type: a mismatch fails RTMAC_REQUIRE (compiled in
+  // with checks only) and registers nothing.
+  if constexpr (kChecksEnabled) {
+    struct Mismatch {};
+    const CheckFailureHandler previous = set_check_failure_handler(
+        [](const char*, const char*, const char*, int, const std::string&) { throw Mismatch{}; });
+    EXPECT_THROW(reg.gauge("a.count"), Mismatch);
+    EXPECT_THROW(reg.counter("m1.1"), Mismatch);  // a gauge
+    EXPECT_THROW(reg.sketch("h"), Mismatch);
+    set_check_failure_handler(previous);
+    EXPECT_EQ(reg.size(), 102u + kMany);
+  }
+
+  // The export walks names in byte order, whatever the registration order.
+  std::ostringstream out;
+  reg.write_jsonl(out);
+  std::istringstream in{out.str()};
+  std::vector<std::string> names;
+  for (std::string line; std::getline(in, line);) {
+    const auto parsed = parse_flat_json(line);
+    ASSERT_TRUE(parsed.has_value()) << line;
+    names.push_back(*json_unquote(parsed->at("name")));
+  }
+  ASSERT_EQ(names.size(), reg.size());
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
+}
+
+// The line writer against a frozen copy of the JsonObject-based writer it
+// replaced: every instrument type, names that need escaping, empty and
+// non-empty context, serial and on a 3-worker pool, exports and stream
+// snapshots — byte for byte. Enough lines to fill many export buffers,
+// plus one histogram line longer than a buffer.
+TEST(RegistryTest, LineWriterMatchesTheFrozenWriter) {
+  MetricsRegistry reg;
+  reference::Instruments frozen;
+  Rng rng{29};
+  const std::string odd_names[] = {"quote\"d", "back\\slash", std::string{"ctl\x01" "char"},
+                                   "tab\tnew\nline\rret", std::string{"nul\0byte", 8},
+                                   "\x1f\x7f-edge", "plain.name"};
+  std::string name;
+  for (int i = 0; i < 6000; ++i) {
+    const std::string& base = odd_names[static_cast<std::size_t>(i) % std::size(odd_names)];
+    link_metric(name, base, static_cast<std::uint32_t>(i));
+    switch (i % 4) {
+      case 0: {
+        Counter& c = reg.counter(name);
+        c.inc(rng.next_u64() >> (i % 64));
+        frozen.emplace(name, &c);
+        break;
+      }
+      case 1: {
+        Gauge& g = reg.gauge(name);
+        const double special[] = {std::nan(""), INFINITY, -0.0, 1e-300, -2.2250738585072014e-308};
+        g.set(i % 40 == 1 ? special[(i / 40) % 5] : (rng.next_double() - 0.5) * 1e6);
+        frozen.emplace(name, &g);
+        break;
+      }
+      case 2: {
+        std::vector<double> bounds(static_cast<std::size_t>(i % 7));
+        for (std::size_t b = 0; b < bounds.size(); ++b) bounds[b] = 0.1 * std::pow(3.0, b);
+        Histogram& h = reg.histogram(name, bounds);
+        for (int k = 0; k < i % 5; ++k) h.observe(rng.next_double() * 50.0);
+        frozen.emplace(name, &h);
+        break;
+      }
+      default: {
+        QuantileSketch& s = reg.sketch(name, {/*k=*/16, /*exact_threshold=*/32});
+        for (int k = 0; k < i % 90; ++k) s.update(rng.next_double() * 10.0 - 2.0);
+        frozen.emplace(name, &s);
+        break;
+      }
+    }
+  }
+  // Names that are prefixes of one another or differ only past a zero
+  // byte: the export order is byte order all the same.
+  for (const std::string& edge :
+       {std::string{"a"}, std::string{"a\0", 2}, std::string{"a\0\0", 3}, std::string{"ab"},
+        std::string{"abcdefgh"}, std::string{"abcdefgh\0", 9}, std::string{"abcdefghi"},
+        std::string{"abcdefg"}, std::string{"abcdefgh.abcdefgh"}, std::string{}}) {
+    Counter& c = reg.counter(edge);
+    c.inc(edge.size());
+    frozen.emplace(edge, &c);
+  }
+  {
+    std::vector<double> wide(9000);
+    for (std::size_t b = 0; b < wide.size(); ++b) wide[b] = 1.0 / 3.0 + static_cast<double>(b);
+    Histogram& h = reg.histogram("wide.hist", wide);
+    for (int k = 0; k < 500; ++k) h.observe(rng.next_double() * 9000.0);
+    frozen.emplace("wide.hist", &h);
+  }
+  ASSERT_EQ(reg.size(), frozen.size());
+
+  ThreadPool pool{3};
+  const std::string contexts[] = {"", R"("scheme":"LDF","x":0.4,"rep":0)"};
+  for (int round = 0; round < 2; ++round) {  // the second reuses every buffer
+    for (const std::string& context : contexts) {
+      std::ostringstream want;
+      reference::write_jsonl(want, frozen, context);
+      std::ostringstream serial;
+      reg.write_jsonl(serial, context);
+      EXPECT_TRUE(serial.str() == want.str()) << "serial, context '" << context << "'";
+      std::ostringstream pooled;
+      reg.write_jsonl(pooled, context, &pool);
+      EXPECT_TRUE(pooled.str() == want.str()) << "pool, context '" << context << "'";
+    }
+  }
+
+  // Stream snapshots: the tick's stamps follow the caller's context.
+  for (const std::string& context : contexts) {
+    for (ThreadPool* snapshot_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      StringStreamSink sink;
+      reg.stream_to(&sink, /*every=*/2, context);
+      std::ostringstream want;
+      for (std::uint64_t k = 0; k < 4; ++k) {
+        const auto t_ns = static_cast<std::int64_t>(k) * 2'000'000 - 1;
+        reg.stream_tick(k, t_ns, snapshot_pool);
+        if (k % 2 == 1) {
+          const std::string stamps = "\"k\":" + std::to_string(k) +
+                                     ",\"t_ns\":" + std::to_string(t_ns);
+          reference::write_jsonl(want, frozen,
+                                 context.empty() ? stamps : context + "," + stamps);
+        }
+      }
+      reg.stream_to(nullptr);
+      EXPECT_TRUE(sink.str() == want.str())
+          << (snapshot_pool != nullptr ? "pool" : "serial") << " stream, context '" << context
+          << "'";
+    }
+  }
 }
 
 TEST(RegistryTest, LinkMetricNaming) {

@@ -9,6 +9,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "expfw/scenarios.hpp"
@@ -19,8 +20,8 @@
 namespace rtmac::obs {
 namespace {
 
-std::vector<std::map<std::string, std::string>> parse_lines(const std::string& text) {
-  std::istringstream in{text};
+std::vector<std::map<std::string, std::string>> parse_lines(std::string_view text) {
+  std::istringstream in{std::string{text}};
   std::string line;
   std::vector<std::map<std::string, std::string>> out;
   while (std::getline(in, line)) {

@@ -148,7 +148,8 @@ def distill(raw):
 # gate would pass vacuously, so it is treated as a violation.
 _GATE_SENTINELS = ("BM_EventQueueSteadyStateAllocs", "BM_DbdpIntervalAllocs",
                    "BM_SketchUpdateAllocs", "BM_MediumTxAllocs",
-                   "BM_ShardedIntervalAllocs/city", "BM_ShardedIntervalAllocs/chain")
+                   "BM_ShardedIntervalAllocs/city", "BM_ShardedIntervalAllocs/chain",
+                   "BM_StreamSnapshotAllocs/4096")
 
 
 def gate_zero_alloc(benchmarks):
